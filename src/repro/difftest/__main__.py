@@ -11,20 +11,16 @@ Examples::
     # replay a recorded failing stream
     python -m repro.difftest --replay difftest-repros/minimized-3.json
 
-Exit status: 0 for a clean sweep (or a sabotage self-test that found the
-planted bug and minimized it to at most 5 statements), 1 otherwise.  The
-final digest line is a SHA-256 over the canonical JSON results; it is
-bit-identical for any ``--jobs`` value.
+Digest line, trace files, ``--replay`` and exit status follow the shared
+harness contract in :mod:`repro.harness.kernel`.  The sabotage self-test
+must also shrink its repro to at most 5 statements.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.bench.harness import parallel_map
 from repro.difftest.grammar import (
@@ -37,9 +33,14 @@ from repro.difftest.runner import (
     DEFAULT_CHECKPOINT_THRESHOLD,
     run_stream,
 )
+from repro.harness.kernel import (
+    Harness,
+    Outcome,
+    conclude,
+    harness_parser,
+    replay,
+)
 
-#: Raw repro files written per sweep before we stop.
-_MAX_REPROS = 5
 #: The sabotage self-test must shrink its repro at least this far.
 _SABOTAGE_MAX_STMTS = 5
 
@@ -56,42 +57,121 @@ class DiffTask:
     sabotage: bool
 
 
-def generate(task: DiffTask):
-    return StreamGenerator(task.seed, max_tables=task.tables).stream(task.stmts)
+@dataclass(frozen=True)
+class Repro:
+    """A statement stream plus the run settings it was recorded under."""
+
+    seed: int | None
+    stmts: tuple
+    sabotage: bool
+    checkpoint_threshold: int
+    integrity_every: int
+
+
+def _repro(task: DiffTask) -> Repro:
+    """The seed's generated stream under the task's run settings."""
+    stmts = StreamGenerator(task.seed, max_tables=task.tables).stream(task.stmts)
+    return Repro(
+        seed=task.seed,
+        stmts=tuple(stmts),
+        sabotage=task.sabotage,
+        checkpoint_threshold=task.checkpoint_threshold,
+        integrity_every=task.integrity_every,
+    )
+
+
+def _findings(repro: Repro):
+    return run_stream(
+        list(repro.stmts),
+        checkpoint_threshold=repro.checkpoint_threshold,
+        sabotage=repro.sabotage,
+        integrity_every=repro.integrity_every,
+    )
 
 
 def run_diff_seed(task: DiffTask) -> dict:
     """Generate and run one seed's stream; JSON-safe result for digests."""
-    stmts = generate(task)
-    findings = run_stream(
-        stmts,
-        checkpoint_threshold=task.checkpoint_threshold,
-        sabotage=task.sabotage,
-        integrity_every=task.integrity_every,
-    )
+    repro = _repro(task)
     return {
         "seed": task.seed,
-        "statements": len(stmts),
-        "findings": [
-            {
-                "kind": f.kind,
-                "stmt_index": f.stmt_index,
-                "executor": f.executor,
-                "detail": f.detail,
-            }
-            for f in findings
-        ],
+        "statements": len(repro.stmts),
+        "findings": [asdict(f) for f in _findings(repro)],
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.difftest",
-        description="Differential SQL fuzzer: run generated statement "
-        "streams through real SQLite and the repro engine on every WAL "
-        "backend, in lockstep.",
+def _shrink(repro: Repro) -> Repro:
+    small = minimize_stream(
+        list(repro.stmts), lambda stmts: _findings(replace(repro, stmts=stmts))
     )
-    parser.add_argument("--seeds", type=int, default=8, help="seeds 0..N-1 to sweep")
+    return replace(repro, stmts=tuple(small))
+
+
+def _record(repro: Repro, findings: list) -> dict:
+    """Repro-file payload: the stream plus its run settings in ``meta``."""
+    return stream_to_dict(
+        repro.stmts,
+        meta={
+            "seed": repro.seed,
+            "sabotage": repro.sabotage,
+            "checkpoint_threshold": repro.checkpoint_threshold,
+            "integrity_every": repro.integrity_every,
+            "findings": findings,
+        },
+    )
+
+
+def _summarize(original: Repro, small: Repro) -> str:
+    lines = [f"minimized: {len(original.stmts)} -> {len(small.stmts)} statement(s)"]
+    for stmt in small.stmts:
+        lines.append(
+            f"  {stmt.sql}"
+            + (f"  -- params {stmt.params!r}" if stmt.params else "")
+        )
+    return "\n".join(lines)
+
+
+def _harness(args) -> Harness:
+    """Repro files replay under their recorded settings; files without
+    them (the hand-written corpus) fall back to the command line's."""
+
+    def load(data: dict) -> Repro:
+        meta = data.get("meta", {})
+        return Repro(
+            seed=meta.get("seed"),
+            stmts=tuple(stream_from_dict(data)),
+            sabotage=bool(meta.get("sabotage")) or args.sabotage,
+            checkpoint_threshold=meta.get(
+                "checkpoint_threshold", args.checkpoint_threshold
+            ),
+            integrity_every=meta.get("integrity_every", args.integrity_every),
+        )
+
+    return Harness(
+        run=lambda repro: Outcome(tuple(f.format() for f in _findings(repro))),
+        shrink=_shrink,
+        save=lambda repro, violations: _record(repro, list(violations)),
+        load=load,
+        describe=lambda repro: f"{len(repro.stmts)} statement(s)",
+        summarize=_summarize,
+        vet=lambda small: (
+            f"minimized to {len(small.stmts)} statements "
+            f"(> {_SABOTAGE_MAX_STMTS})"
+            if len(small.stmts) > _SABOTAGE_MAX_STMTS
+            else None
+        ),
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = harness_parser(
+        "python -m repro.difftest",
+        "Differential SQL fuzzer: run generated statement streams through "
+        "real SQLite and the repro engine on every WAL backend, in lockstep.",
+        seeds=8,
+        trace_dir="difftest-repros",
+        threshold=DEFAULT_CHECKPOINT_THRESHOLD,
+        dir_flag="--out-dir",
+    )
     parser.add_argument(
         "--stmts", type=int, default=60, help="statements per stream"
     )
@@ -99,25 +179,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tables", type=int, default=3, help="max tables per stream"
     )
     parser.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_CHECKPOINT_THRESHOLD,
-        help="WAL frames per checkpoint (small = frequent checkpoints)",
-    )
-    parser.add_argument(
         "--integrity-every",
         type=int,
         default=8,
         help="statements between structural integrity checks",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    parser.add_argument(
-        "--out-dir",
-        default="difftest-repros",
-        help="directory for failing-stream JSON repro files",
-    )
-    parser.add_argument(
-        "--replay", metavar="FILE", help="replay one recorded stream and exit"
     )
     parser.add_argument(
         "--sabotage",
@@ -126,93 +191,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "access path; the sweep must catch it and minimize the repro to "
         f"<= {_SABOTAGE_MAX_STMTS} statements",
     )
-    parser.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="record raw failing streams without shrinking them",
-    )
     return parser
-
-
-def _run_for_stream(stmts, args):
-    return run_stream(
-        stmts,
-        checkpoint_threshold=args.checkpoint_threshold,
-        sabotage=args.sabotage,
-        integrity_every=args.integrity_every,
-    )
-
-
-def _replay(path: str, args) -> int:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    stmts = stream_from_dict(data)
-    meta = data.get("meta", {})
-    if meta.get("sabotage"):
-        args.sabotage = True
-    first = _run_for_stream(stmts, args)
-    second = _run_for_stream(stmts, args)
-    print(f"replaying {path}: {len(stmts)} statement(s)")
-    for finding in first:
-        print(f"  {finding.format()}")
-    if [f.format() for f in first] != [f.format() for f in second]:
-        print("replay is NOT deterministic — harness bug")
-        return 1
-    if not first:
-        print("  no findings (stream passes)")
-        return 0
-    print(f"  {len(first)} finding(s), deterministic across replays")
-    return 1
-
-
-def _write_repro(out_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _minimize_and_verify(task: DiffTask, args) -> tuple[bool, int]:
-    """Shrink the failing seed's stream, record it, and prove the replay
-    is deterministic.  Returns (verified, minimized statement count)."""
-    stmts = generate(task)
-
-    def run(candidate):
-        return _run_for_stream(candidate, args)
-
-    small = minimize_stream(stmts, run)
-    first = run(small)
-    second = run(small)
-    path = _write_repro(
-        args.out_dir,
-        f"minimized-{task.seed}.json",
-        stream_to_dict(
-            small,
-            meta={
-                "seed": task.seed,
-                "sabotage": task.sabotage,
-                "findings": [f.format() for f in first],
-            },
-        ),
-    )
-    print(f"minimized: {len(stmts)} -> {len(small)} statement(s)")
-    for stmt in small:
-        print(f"  {stmt.sql}" + (f"  -- params {stmt.params!r}" if stmt.params else ""))
-    for finding in first:
-        print(f"  {finding.format()}")
-    print(f"minimized repro: {path}")
-    if not first or [f.format() for f in first] != [f.format() for f in second]:
-        print("minimized stream does NOT replay deterministically — harness bug")
-        return False, len(small)
-    print("minimized stream replays deterministically")
-    return True, len(small)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    harness = _harness(args)
     if args.replay:
-        return _replay(args.replay, args)
+        return replay(harness, args.replay)
     tasks = [
         DiffTask(
             seed=seed,
@@ -230,13 +216,13 @@ def main(argv=None) -> int:
         + (", SABOTAGE" if args.sabotage else "")
     )
     results = parallel_map(run_diff_seed, tasks, jobs=args.jobs)
-    failing: list[DiffTask] = []
+    failures: list[dict] = []
     total_stmts = 0
     for task, result in zip(tasks, results):
         total_stmts += result["statements"]
         n = len(result["findings"])
         if n:
-            failing.append(task)
+            failures.append(_record(_repro(task), result["findings"]))
         print(f"seed {result['seed']}: {result['statements']} statement(s), "
               f"{n} finding(s)")
         for finding in result["findings"][:4]:
@@ -245,45 +231,8 @@ def main(argv=None) -> int:
                 f"{finding['stmt_index'] if finding['stmt_index'] is not None else 'end'} "
                 f"[{finding['executor']}]: {finding['detail']}"
             )
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    print(f"total: {total_stmts} statement(s), {len(failing)} failing seed(s)")
-    print(f"result digest: sha256:{digest}")
-
-    if args.sabotage:
-        if not failing:
-            print("sabotage self-test FAILED: the planted bug went undetected")
-            return 1
-        print(
-            f"sabotage self-test: planted bug detected in {len(failing)} seed(s)"
-        )
-        ok, n_stmts = _minimize_and_verify(failing[0], args)
-        if not ok:
-            return 1
-        if n_stmts > _SABOTAGE_MAX_STMTS:
-            print(
-                f"sabotage self-test FAILED: minimized to {n_stmts} "
-                f"statements (> {_SABOTAGE_MAX_STMTS})"
-            )
-            return 1
-        return 0
-
-    if not failing:
-        return 0
-    for i, task in enumerate(failing[:_MAX_REPROS]):
-        stmts = generate(task)
-        findings = run_diff_seed(task)["findings"]
-        path = _write_repro(
-            args.out_dir,
-            f"stream-{task.seed}.json",
-            stream_to_dict(
-                stmts, meta={"seed": task.seed, "findings": findings}
-            ),
-        )
-        print(f"failing stream: {path}")
-    if not args.no_minimize:
-        _minimize_and_verify(failing[0], args)
-    return 1
+    print(f"total: {total_stmts} statement(s), {len(failures)} failing seed(s)")
+    return conclude(harness, results, failures, args)
 
 
 if __name__ == "__main__":

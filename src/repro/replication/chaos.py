@@ -45,18 +45,23 @@ needs).  The legacy boolean form maps to ``"torn"``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 
 from repro.errors import PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, ShipFaultSpec
+from repro.harness.codec import load_scenario, scenario_to_dict
+from repro.harness.minimize import SESSION_PASSES, shrink_each, try_each
+from repro.harness.minimize import minimize as minimize_scenario
+from repro.harness.kernel import Outcome, job_failures, rotate
+from repro.harness.streams import fold_ops, session_streams
 from repro.replication.cluster import Cluster, ReplicationConfig
-from repro.service.chaos import _session_stream
 from repro.service.sched import Scheduler
 from repro.service.server import ServiceConfig
 from repro.service.session import ClientSession
-from repro.torture.driver import SCHEMES
 from repro.torture.workload import TABLE
 from repro.wal.base import SyncMode
+from repro.wal.nvwal import SCHEMES
 
 #: Per-seed scheme rotation: one eager, one lazy-sync, one checksum.
 ROTATION = ("uh_ls_diff", "eager", "uh_cs_diff")
@@ -103,14 +108,6 @@ class ReplicationScenario:
     settle_ns: int = 60_000_000
     #: absolute sim-time liveness deadline for the client phase.
     deadline_ns: int = 4_000_000_000
-
-
-@dataclass(frozen=True)
-class ReplicationOutcome:
-    """What one scenario run produced (JSON-able)."""
-
-    violations: tuple
-    summary: dict = field(default_factory=dict)
 
 
 def build_ship_plan(seed: int, faults) -> FaultPlan | None:
@@ -179,16 +176,11 @@ def make_scenario(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
-    per_session = max(1, txns // sessions)
-    streams = tuple(
-        _session_stream(seed, s, sessions, per_session, txn_size)
-        for s in range(sessions)
-    )
     scenario = ReplicationScenario(
         seed=seed,
         scheme=scheme,
         mode=mode,
-        streams=streams,
+        streams=session_streams(seed, sessions, txns, txn_size),
         followers=followers,
         plan=build_ship_plan(seed, faults),
         sabotage=_sabotage_kind(sabotage),
@@ -234,20 +226,6 @@ def _measure_duration(scenario: ReplicationScenario) -> int:
     return max(1, int(driver.clock.now_ns - driver.start_ns))
 
 
-def _fold(base: dict, ops) -> dict:
-    """Fold ops with the service's SQL semantics (see service chaos)."""
-    out = dict(base)
-    for kind, key, value in ops:
-        if kind == "delete":
-            out.pop(key, None)
-        elif kind == "update":
-            if key in out:
-                out[key] = value
-        else:  # insert-as-upsert
-            out[key] = value
-    return out
-
-
 class _Driver:
     """Mutable state of one replication chaos run."""
 
@@ -278,7 +256,7 @@ class _Driver:
         self.gc_deleted = 0
         self.gc_events = 0
         self.floor_advances = 0
-        self.stats_total: dict[str, int] = {}
+        self.stats_total: Counter = Counter()
         self.failover_ms: float | None = None
         self.first_ack_after_failover_ms: float | None = None
         self._writer_killed = False
@@ -296,7 +274,7 @@ class _Driver:
         for meta in entry.metas:
             if self.applied_tail and self.applied_tail[0] == meta:
                 self.applied_tail.pop(0)
-            self.kv = _fold(self.kv, meta[1])
+            self.kv = fold_ops(self.kv, meta[1])
         self.states.append(sorted(self.kv.items()))
         self.commit_log.append(entry.metas)
         if entry.seq != len(self.states) - 1:
@@ -354,7 +332,7 @@ class _Driver:
     def _check_primary_read(self, rows) -> None:
         kv = dict(self.kv)
         for _sid, ops in self.applied_tail:
-            kv = _fold(kv, ops)
+            kv = fold_ops(kv, ops)
         if sorted(rows) != sorted(kv.items()):
             self.stale_reads += 1
             self.violations.append(
@@ -630,7 +608,7 @@ class _Driver:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> ReplicationOutcome:
+    def run(self) -> Outcome:
         sc = self.scenario
         cluster = Cluster(
             ReplicationConfig(
@@ -704,7 +682,7 @@ class _Driver:
                 scheduler.spawn("grim", self._grim_job(), daemon=True)
             try:
                 scheduler.run(deadline_ns=self.start_ns + sc.deadline_ns)
-                self._absorb_stats(service)
+                self.stats_total.update(service.stats.as_dict())
                 if any(not j.done and not j.daemon for j in scheduler.jobs):
                     stalled = True
                     self.violations.append(
@@ -714,12 +692,12 @@ class _Driver:
                     )
                     scheduler.abandon()
                     break
-                self._check_daemons(scheduler)
+                self.violations.extend(job_failures(scheduler))
                 break
             except PowerFailure:
                 self.crashes += 1
                 scheduler.abandon()
-                self._absorb_stats(service)
+                self.stats_total.update(service.stats.as_dict())
                 # Open-epoch members died with the primary's DRAM; the
                 # clients resubmit anything never acknowledged.
                 self.applied_tail.clear()
@@ -753,17 +731,6 @@ class _Driver:
                 except Exception:  # noqa: BLE001 - reads may be refused
                     continue
                 self._check_primary_read(rows)
-
-    def _check_daemons(self, scheduler: Scheduler) -> None:
-        for job in scheduler.failed_jobs():
-            self.violations.append(
-                f"error: job {job.name!r} died with "
-                f"{type(job.error).__name__}: {job.error}"
-            )
-
-    def _absorb_stats(self, service) -> None:
-        for key, value in service.stats.as_dict().items():
-            self.stats_total[key] = self.stats_total.get(key, 0) + value
 
     def _ship_fault_counts(self) -> dict:
         counts = {"dropped": 0, "duplicated": 0, "reordered": 0, "corrupted": 0}
@@ -810,7 +777,7 @@ class _Driver:
             "peak_log_entries": cluster.log_peak(),
         }
 
-    def _outcome(self) -> ReplicationOutcome:
+    def _outcome(self) -> Outcome:
         lag = sorted(self.cluster.lag_samples()) if self.cluster else []
         summary = {
             "seed": self.scenario.seed,
@@ -843,17 +810,17 @@ class _Driver:
             "stats": dict(sorted(self.stats_total.items())),
             "violations": list(self.violations),
         }
-        return ReplicationOutcome(
+        return Outcome(
             violations=tuple(self.violations), summary=summary
         )
 
 
-def run_replication_chaos(scenario: ReplicationScenario) -> ReplicationOutcome:
+def run_replication_chaos(scenario: ReplicationScenario) -> Outcome:
     """Run one scenario end to end; unexpected escapes become findings."""
     try:
         return _Driver(scenario).run()
     except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        return ReplicationOutcome(
+        return Outcome(
             violations=(
                 f"error: unhandled {type(exc).__name__} escaped the "
                 f"replication driver: {exc}",
@@ -867,64 +834,51 @@ def run_replication_chaos(scenario: ReplicationScenario) -> ReplicationOutcome:
 
 
 # ----------------------------------------------------------------------
+# minimization
+# ----------------------------------------------------------------------
+
+#: Shrink passes, in order: structural simplifications first (channel
+#: faults, the follower kill script, the writer kill, extra followers,
+#: group commit; the cold store last — a gc-sabotage failure needs it
+#: and keeps it, a channel-level failure sheds it), then fewer follower
+#: kills, then the session workload.  A conditional candidate that falls
+#: back to the pass-start scenario re-accepts it when an earlier
+#: candidate was taken; that order is what the recorded minimized traces
+#: were shrunk with.
+MINIMIZE_PASSES = (
+    try_each(
+        lambda s: (
+            replace(s, plan=None),
+            replace(s, follower_kills=()),
+            replace(s, writer_kill_ns=0),
+            replace(s, followers=1)
+            if s.followers > 1 and not s.follower_kills
+            else s,
+            replace(s, group_commit=False),
+            replace(s, archive=False) if s.archive else s,
+        )
+    ),
+    shrink_each("follower_kills", min_size=1),
+    *SESSION_PASSES,
+)
+
+
+def minimize(scenario: ReplicationScenario) -> ReplicationScenario:
+    """The smallest scenario still failing the same way (a scenario that
+    does not fail comes back unchanged)."""
+    return minimize_scenario(scenario, run_replication_chaos, MINIMIZE_PASSES)
+
+
+# ----------------------------------------------------------------------
 # trace (de)serialization
 # ----------------------------------------------------------------------
 
 
-def scenario_to_dict(scenario: ReplicationScenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "scheme": scenario.scheme,
-        "mode": scenario.mode,
-        "streams": [
-            [[list(op) for op in txn] for txn in stream]
-            for stream in scenario.streams
-        ],
-        "followers": scenario.followers,
-        "plan": scenario.plan.to_json() if scenario.plan else None,
-        "writer_kill_ns": scenario.writer_kill_ns,
-        "follower_kills": [list(kill) for kill in scenario.follower_kills],
-        "sabotage": scenario.sabotage,
-        "read_interval_ns": scenario.read_interval_ns,
-        "checkpoint_threshold": scenario.checkpoint_threshold,
-        "group_commit": scenario.group_commit,
-        "settle_ns": scenario.settle_ns,
-        "deadline_ns": scenario.deadline_ns,
-        "archive": scenario.archive,
-        "archive_epochs_per_file": scenario.archive_epochs_per_file,
-        "archive_snapshot_every": scenario.archive_snapshot_every,
-        "archive_gc_every": scenario.archive_gc_every,
-    }
-
-
 def scenario_from_dict(data: dict) -> ReplicationScenario:
-    return ReplicationScenario(
-        seed=data["seed"],
-        scheme=data["scheme"],
-        mode=data["mode"],
-        streams=tuple(
-            tuple(tuple(tuple(op) for op in txn) for txn in stream)
-            for stream in data["streams"]
-        ),
-        followers=data.get("followers", 2),
-        plan=FaultPlan.from_json(data["plan"]) if data.get("plan") else None,
-        writer_kill_ns=data.get("writer_kill_ns", 0),
-        follower_kills=tuple(
-            tuple(kill) for kill in data.get("follower_kills", ())
-        ),
-        sabotage=_sabotage_kind(data.get("sabotage", "")),
-        read_interval_ns=data.get("read_interval_ns", 600_000),
-        checkpoint_threshold=data.get("checkpoint_threshold", 48),
-        group_commit=data.get("group_commit", True),
-        settle_ns=data.get("settle_ns", 60_000_000),
-        deadline_ns=data.get("deadline_ns", 4_000_000_000),
-        # Traces recorded before the cold store existed replay in the
-        # mode they ran in: archive off.
-        archive=data.get("archive", False),
-        archive_epochs_per_file=data.get("archive_epochs_per_file", 4),
-        archive_snapshot_every=data.get("archive_snapshot_every", 12),
-        archive_gc_every=data.get("archive_gc_every", 4),
-    )
+    # Traces recorded before the cold store existed replay in the mode
+    # they ran in: archive off.  Legacy boolean sabotage maps to "torn".
+    scenario = load_scenario(ReplicationScenario, data, archive=False)
+    return replace(scenario, sabotage=_sabotage_kind(scenario.sabotage))
 
 
 # ----------------------------------------------------------------------
@@ -953,19 +907,13 @@ class ReplicationTask:
 
 def run_task(task: ReplicationTask) -> dict:
     """Run one task; result is the summary plus the scenario trace."""
-    scheme = task.scheme
-    if scheme == "rotate":
-        scheme = ROTATION[task.seed % len(ROTATION)]
-    mode = task.mode
-    if mode == "rotate":
-        mode = MODE_ROTATION[task.seed % len(MODE_ROTATION)]
     scenario = make_scenario(
         task.seed,
         sessions=task.sessions,
         txns=task.txns,
         txn_size=task.txn_size,
-        scheme=scheme,
-        mode=mode,
+        scheme=rotate(task.scheme, ROTATION, task.seed),
+        mode=rotate(task.mode, MODE_ROTATION, task.seed),
         followers=task.followers,
         faults=task.faults,
         writer_kill=task.writer_kill,
@@ -975,6 +923,4 @@ def run_task(task: ReplicationTask) -> dict:
         archive=task.archive,
     )
     outcome = run_replication_chaos(scenario)
-    result = dict(outcome.summary)
-    result["scenario"] = scenario_to_dict(scenario)
-    return result
+    return {**outcome.summary, "scenario": scenario_to_dict(scenario)}

@@ -17,46 +17,69 @@ Examples::
     # replay a recorded failing trace
     python -m repro.replication --replay replication-traces/minimized-1.json
 
-Exit status: 0 for a clean sweep (or a sabotage self-test that found,
-minimized, and deterministically replayed the planted bug), 1 otherwise.
-The digest line is a SHA-256 over canonical JSON results and is
-bit-identical for any ``--jobs`` value.
+Digest line, trace files, ``--replay`` and exit status follow the shared
+harness contract in :mod:`repro.harness.kernel`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
 import sys
 
 from repro.bench.harness import parallel_map
+from repro.harness.kernel import (
+    Harness,
+    add_scheme_flag,
+    conclude,
+    harness_parser,
+    replay,
+)
+from repro.harness.streams import stream_sizes
 from repro.replication.chaos import (
     MODE_ROTATION,
     ROTATION,
     ReplicationTask,
+    minimize,
     run_replication_chaos,
     run_task,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from repro.replication.ship import MODES
-from repro.torture.driver import SCHEMES
 
-#: Raw traces written per run before we stop (one per failure otherwise).
-_MAX_TRACES = 5
+
+def _summarize(_original, small) -> str:
+    return (
+        f"minimized: {stream_sizes(small.streams)}, followers={small.followers}, "
+        f"writer_kill={'yes' if small.writer_kill_ns else 'no'}, "
+        f"follower_kills={len(small.follower_kills)}"
+        + (", channel faults kept" if small.plan else ", channel faults dropped")
+    )
+
+
+def _harness(sabotage: str) -> Harness:
+    return Harness(
+        run=run_replication_chaos,
+        shrink=minimize,
+        load=lambda trace: scenario_from_dict(trace["scenario"]),
+        describe=lambda s: (
+            f"seed={s.seed} scheme={s.scheme} mode={s.mode} "
+            f"followers={s.followers} writer_kill_ns={s.writer_kill_ns}"
+        ),
+        summarize=_summarize,
+        planted="premature GC" if sabotage == "gc" else "torn segment",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.replication",
-        description="Replication chaos harness: a primary service ships "
-        "sealed WAL epochs to follower machines over a fault-injected "
-        "channel, with scripted writer/follower power cuts, failover "
-        "promotion, and a replication-consistency oracle.",
+    parser = harness_parser(
+        "python -m repro.replication",
+        "Replication chaos harness: a primary service ships sealed WAL "
+        "epochs to follower machines over a fault-injected channel, with "
+        "scripted writer/follower power cuts, failover promotion, and a "
+        "replication-consistency oracle.",
+        seeds=6,
+        trace_dir="replication-traces",
     )
-    parser.add_argument("--seeds", type=int, default=6, help="seeds 0..N-1 to sweep")
     parser.add_argument(
         "--sessions", type=int, default=4, help="concurrent client sessions"
     )
@@ -66,12 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--txn-size", type=int, default=3, help="max ops per transaction"
     )
-    parser.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
+    add_scheme_flag(parser, ROTATION)
     parser.add_argument(
         "--mode",
         default="rotate",
@@ -106,15 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ship per-transaction instead of per group-commit epoch",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    parser.add_argument(
-        "--trace-dir",
-        default="replication-traces",
-        help="directory for failing-trace JSON files",
-    )
-    parser.add_argument(
-        "--replay", metavar="TRACE", help="replay one recorded trace and exit"
-    )
     parser.add_argument(
         "--no-archive",
         action="store_true",
@@ -133,85 +142,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "makes the archive trim past the follower fleet's durable "
         "cursor, so a reseed after failover comes up short",
     )
-    parser.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="write raw failing traces without shrinking them",
-    )
     return parser
-
-
-def _replay(path: str) -> int:
-    with open(path, encoding="utf-8") as fh:
-        trace = json.load(fh)
-    scenario = scenario_from_dict(trace["scenario"])
-    first = run_replication_chaos(scenario)
-    second = run_replication_chaos(scenario)
-    print(
-        f"replaying {path}: seed={scenario.seed} scheme={scenario.scheme} "
-        f"mode={scenario.mode} followers={scenario.followers} "
-        f"writer_kill_ns={scenario.writer_kill_ns}"
-    )
-    for violation in first.violations:
-        print(f"  {violation}")
-    if first.violations != second.violations:
-        print("replay is NOT deterministic — harness bug")
-        return 1
-    if not first.violations:
-        print("  no violations (scenario passes)")
-        return 0
-    print(f"  {len(first.violations)} violation(s), deterministic across replays")
-    return 1
-
-
-def _write_trace(trace_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(trace_dir, exist_ok=True)
-    path = os.path.join(trace_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _minimize_and_verify(failure: dict, trace_dir: str) -> bool:
-    """Shrink the first failure, record it, and prove the replay is
-    deterministic.  Returns True on a verified deterministic trace."""
-    from repro.replication.minimize import minimize
-
-    scenario = scenario_from_dict(failure["scenario"])
-    small = minimize(scenario)
-    first = run_replication_chaos(small)
-    second = run_replication_chaos(small)
-    path = _write_trace(
-        trace_dir,
-        f"minimized-{small.seed}.json",
-        {
-            "scenario": scenario_to_dict(small),
-            "violations": list(first.violations),
-        },
-    )
-    txns = sum(len(stream) for stream in small.streams)
-    ops = sum(len(txn) for stream in small.streams for txn in stream)
-    print(
-        f"minimized: {ops} op(s) in {txns} txn(s) across "
-        f"{len(small.streams)} session(s), followers={small.followers}, "
-        f"writer_kill={'yes' if small.writer_kill_ns else 'no'}, "
-        f"follower_kills={len(small.follower_kills)}"
-        + (", channel faults kept" if small.plan else ", channel faults dropped")
-    )
-    for violation in first.violations:
-        print(f"  {violation}")
-    print(f"minimized trace: {path}")
-    if not first.violations or first.violations != second.violations:
-        print("minimized trace does NOT replay deterministically — harness bug")
-        return False
-    print("minimized trace replays deterministically")
-    return True
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    harness = _harness(args.sabotage)
     if args.replay:
-        return _replay(args.replay)
+        return replay(harness, args.replay)
     raw = {f.strip() for f in args.faults.split(",") if f.strip()}
     faults = tuple(sorted(raw - {"none"}))
     tasks = [
@@ -261,39 +199,11 @@ def main(argv=None) -> int:
             + (f", failover {failover:.2f} ms" if failover else "")
             + f", {len(violations)} violation(s)"
         )
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     print(
         f"total: {acked} acked txn(s), {promotions} promotion(s), "
         f"{len(failures)} violating seed(s)"
     )
-    print(f"result digest: sha256:{digest}")
-
-    if args.sabotage:
-        planted = (
-            "torn segment" if args.sabotage == "torn" else "premature GC"
-        )
-        if not failures:
-            print(f"sabotage self-test FAILED: the {planted} went undetected")
-            return 1
-        print(
-            f"sabotage self-test: {planted} detected in "
-            f"{len(failures)} seed(s)"
-        )
-        return 0 if _minimize_and_verify(failures[0], args.trace_dir) else 1
-
-    if not failures:
-        return 0
-    for i, failure in enumerate(failures[:_MAX_TRACES]):
-        path = _write_trace(
-            args.trace_dir,
-            f"trace-{failure['seed']}-{i}.json",
-            failure,
-        )
-        print(f"failing trace: {path}")
-    if not args.no_minimize:
-        _minimize_and_verify(failures[0], args.trace_dir)
-    return 1
+    return conclude(harness, results, failures, args)
 
 
 if __name__ == "__main__":

@@ -32,8 +32,7 @@ from repro.errors import ChecksumError
 from repro.replication.segment import decode_stream
 from repro.system import System
 from repro.wal.frames import NvFrame
-from repro.wal.nvwal import NvwalBackend
-from repro.torture.driver import SCHEMES
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 #: Pseudo page carrying the replication watermark inside the WAL.  Far
 #: above any page number a real database reaches in simulation.

@@ -27,7 +27,7 @@ Oracles (generalizing the torture driver's single-session checks):
 
 Results are JSON-able and digested (sha256 over canonical JSON), and the
 digest is identical for any ``--jobs`` value.  Failing scenarios shrink
-via :mod:`repro.service.minimize` into replayable JSON traces.
+via :func:`minimize` into replayable JSON traces.
 
 Run ``python -m repro.service.chaos --help`` (or ``python -m
 repro.service``) for the CLI.
@@ -35,22 +35,27 @@ repro.service``) for the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 
 from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import IoError, PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, MediaFaultSpec
+from repro.harness.codec import load_scenario, scenario_to_dict
+from repro.harness.minimize import SESSION_PASSES, shrink_each, try_each
+from repro.harness.minimize import minimize as minimize_scenario
+from repro.harness.kernel import Outcome, job_failures, rotate
+from repro.harness.streams import fold_ops, session_streams
 from repro.service.sched import Scheduler
 from repro.service.server import DatabaseService, ServiceConfig
 from repro.service.session import ClientSession
 from repro.system import System
 from repro.telemetry.collector import Collector
 from repro.telemetry.export import build_export, canonical_json, export_digest
-from repro.torture.driver import ROTATION, SCHEMES
-from repro.torture.workload import TABLE, generate_txns
+from repro.torture.workload import TABLE
 from repro.wal.base import SyncMode
-from repro.wal.nvwal import NvwalBackend
+from repro.wal.nvwal import ROTATION, SCHEMES, NvwalBackend
 
 DB_NAME = "chaos.db"
 
@@ -99,115 +104,9 @@ class ChaosScenario:
     workload: str = "mobi"
 
 
-@dataclass(frozen=True)
-class ChaosOutcome:
-    """What one scenario run produced (JSON-able)."""
-
-    violations: tuple
-    summary: dict = field(default_factory=dict)
-
-
 # ----------------------------------------------------------------------
 # scenario construction
 # ----------------------------------------------------------------------
-
-
-#: Stream generators selectable via ``ChaosScenario.workload``.
-CHAOS_WORKLOADS = ("mobi", "ycsb", "queue")
-
-
-def _ycsb_stream(stream_seed: int, op_count: int, txn_size: int):
-    """Zipfian-skewed mixed stream: most writes land on a few hot keys,
-    the YCSB access pattern the original free-key mix never produces."""
-    from repro.workloads.core import ZipfianSampler, workload_rng
-
-    rng = workload_rng(stream_seed, salt=11)
-    sampler = ZipfianSampler(0)
-    live: list[int] = []
-    next_key = 1
-    ops = []
-    for i in range(op_count):
-        roll = rng.random()
-        if not live or roll < 0.40:
-            key, kind = next_key, "insert"
-            live.append(next_key)
-            next_key += 1
-        elif roll < 0.82:
-            sampler.resize(len(live))
-            key, kind = live[sampler.sample(rng)], "update"
-        else:
-            sampler.resize(len(live))
-            key, kind = live.pop(sampler.sample(rng)), "delete"
-        value = None if kind == "delete" else f"y{i}." + "x" * rng.randint(4, 20)
-        ops.append((kind, key, value))
-    return _group_ops(rng, ops, txn_size)
-
-
-def _queue_stream(stream_seed: int, op_count: int, txn_size: int):
-    """FIFO enqueue/dequeue: inserts with monotone ids, deletes always
-    of the oldest live id — the durable-queue pattern under chaos."""
-    from repro.workloads.core import workload_rng
-
-    rng = workload_rng(stream_seed, salt=13)
-    live: list[int] = []
-    next_id = 1
-    ops = []
-    for i in range(op_count):
-        if not live or rng.random() < 0.55:
-            ops.append(("insert", next_id, f"m{i}." + "x" * rng.randint(4, 16)))
-            live.append(next_id)
-            next_id += 1
-        else:
-            ops.append(("delete", live.pop(0), None))
-    return _group_ops(rng, ops, txn_size)
-
-
-def _group_ops(rng, ops, txn_size: int):
-    txns = []
-    index = 0
-    while index < len(ops):
-        take = rng.randint(1, txn_size)
-        txns.append(tuple(ops[index : index + take]))
-        index += take
-    return tuple(txns)
-
-
-def _session_stream(
-    seed: int,
-    session: int,
-    sessions: int,
-    txns: int,
-    txn_size: int,
-    workload: str = "mobi",
-):
-    """One session's txn stream over its own key-space slice.
-
-    Keys are remapped to ``k * sessions + session`` so streams never
-    collide: each session's insert/update/delete semantics then match a
-    per-key last-writer model no matter how commits interleave.
-    """
-    stream_seed = (seed * 8191 + session * 127 + 1) & 0x7FFFFFFF
-    if workload == "ycsb":
-        raw = _ycsb_stream(stream_seed, txns * txn_size, txn_size)
-    elif workload == "queue":
-        raw = _queue_stream(stream_seed, txns * txn_size, txn_size)
-    elif workload == "mobi":
-        raw = generate_txns(
-            stream_seed, op_count=txns * txn_size, txn_size=txn_size
-        )
-    else:
-        raise ValueError(
-            f"unknown chaos workload {workload!r}; pick from {CHAOS_WORKLOADS}"
-        )
-    remapped = []
-    for txn in raw[:txns]:
-        remapped.append(
-            tuple(
-                (kind, key * sessions + session, value)
-                for kind, key, value in txn
-            )
-        )
-    return tuple(remapped)
 
 
 def build_fault_plan(seed: int, faults) -> FaultPlan | None:
@@ -262,15 +161,10 @@ def make_scenario(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
-    per_session = max(1, txns // sessions)
-    streams = tuple(
-        _session_stream(seed, s, sessions, per_session, txn_size, workload)
-        for s in range(sessions)
-    )
     scenario = ChaosScenario(
         seed=seed,
         scheme=scheme,
-        streams=streams,
+        streams=session_streams(seed, sessions, txns, txn_size, workload),
         plan=build_fault_plan(seed, faults),
         storms=storms,
         checkpoint_threshold=checkpoint_threshold,
@@ -334,7 +228,7 @@ class _Driver:
         self.shed_acked = 0
         self.stale_reads = 0
         self.epochs = 0
-        self.stats_total: dict[str, int] = {}
+        self.stats_total: Counter = Counter()
         self.count_ops = count_ops
         self.ops_counted = 0
         #: Telemetry time-series collector (built in run() once the
@@ -343,25 +237,7 @@ class _Driver:
 
     # -- model ---------------------------------------------------------
 
-    def _fold(self, base: dict, ops) -> dict:
-        """Fold ops with the service's exact SQL semantics.
-
-        ``insert`` upserts (the service falls back to UPDATE on a
-        duplicate key) and ``update`` only touches an existing row —
-        this matters after a legitimate WAL shed, when a client's later
-        transactions update keys whose inserts were shed: SQL no-ops,
-        and so must the model.
-        """
-        out = dict(base)
-        for kind, key, value in ops:
-            if kind == "delete":
-                out.pop(key, None)
-            elif kind == "update":
-                if key in out:
-                    out[key] = value
-            else:  # insert-as-upsert
-                out[key] = value
-        return out
+    _fold = staticmethod(fold_ops)
 
     def _on_ack(self, session_id: str, ops) -> None:
         if self.applied_tail and self.applied_tail[0] == (session_id, ops):
@@ -494,7 +370,7 @@ class _Driver:
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> ChaosOutcome:
+    def run(self) -> Outcome:
         scenario = self.scenario
         system = System(tuna(), seed=scenario.seed)
         self.collector = Collector(system.telemetry)
@@ -584,8 +460,8 @@ class _Driver:
                 scheduler.run()
                 if armed:
                     system.crash.disarm()
-                self._absorb_stats(service)
-                self._check_daemons(scheduler)
+                self.stats_total.update(service.stats.as_dict())
+                self.violations.extend(job_failures(scheduler))
                 break
             except PowerFailure:
                 self.crashes += 1
@@ -596,7 +472,7 @@ class _Driver:
                 ]
                 members = service.epoch_members()
                 scheduler.abandon()
-                self._absorb_stats(service)
+                self.stats_total.update(service.stats.as_dict())
                 self.applied_tail.clear()  # volatile epoch state is gone
                 system.power_fail()
                 db = self._recover(system)
@@ -661,17 +537,6 @@ class _Driver:
                 return
             self._check_read(rows)
 
-    def _check_daemons(self, scheduler: Scheduler) -> None:
-        for job in scheduler.failed_jobs():
-            self.violations.append(
-                f"error: job {job.name!r} died with "
-                f"{type(job.error).__name__}: {job.error}"
-            )
-
-    def _absorb_stats(self, service: DatabaseService) -> None:
-        for key, value in service.stats.as_dict().items():
-            self.stats_total[key] = self.stats_total.get(key, 0) + value
-
     def _telemetry_summary(self, system: System) -> dict:
         """Final telemetry state + the oracle's determinism checks.
 
@@ -705,7 +570,7 @@ class _Driver:
             **registry.snapshot(),
         }
 
-    def _outcome(self, system: System, service) -> ChaosOutcome:
+    def _outcome(self, system: System, service) -> Outcome:
         telemetry = self._telemetry_summary(system)
         summary = {
             "seed": self.scenario.seed,
@@ -722,15 +587,15 @@ class _Driver:
             "telemetry": telemetry,
             "violations": list(self.violations),
         }
-        return ChaosOutcome(violations=tuple(self.violations), summary=summary)
+        return Outcome(violations=tuple(self.violations), summary=summary)
 
 
-def run_chaos(scenario: ChaosScenario) -> ChaosOutcome:
+def run_chaos(scenario: ChaosScenario) -> Outcome:
     """Run one scenario end to end; unexpected escapes become findings."""
     try:
         return _Driver(scenario).run()
     except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        return ChaosOutcome(
+        return Outcome(
             violations=(
                 f"error: unhandled {type(exc).__name__} escaped the chaos "
                 f"driver: {exc}",
@@ -740,52 +605,40 @@ def run_chaos(scenario: ChaosScenario) -> ChaosOutcome:
 
 
 # ----------------------------------------------------------------------
+# minimization
+# ----------------------------------------------------------------------
+
+#: Shrink passes, in order: structural simplifications first (each drops
+#: a whole dimension before the expensive sequence shrinks run), then
+#: fewer power cuts, then the session workload.
+MINIMIZE_PASSES = (
+    try_each(
+        lambda s: (
+            replace(s, plan=None, storms=0),
+            replace(s, storms=0),
+            replace(s, power_cycles=()),
+            replace(s, final_power_cycle=False),
+            replace(s, read_every=0),
+        )
+    ),
+    shrink_each("power_cycles", min_size=1),
+    *SESSION_PASSES,
+)
+
+
+def minimize(scenario: ChaosScenario) -> ChaosScenario:
+    """The smallest scenario still producing the same failure class (a
+    scenario that does not fail comes back unchanged)."""
+    return minimize_scenario(scenario, run_chaos, MINIMIZE_PASSES)
+
+
+# ----------------------------------------------------------------------
 # trace (de)serialization
 # ----------------------------------------------------------------------
 
 
-def scenario_to_dict(scenario: ChaosScenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "scheme": scenario.scheme,
-        "streams": [
-            [[list(op) for op in txn] for txn in stream]
-            for stream in scenario.streams
-        ],
-        "plan": scenario.plan.to_json() if scenario.plan else None,
-        "storms": scenario.storms,
-        "storm_interval_ns": scenario.storm_interval_ns,
-        "power_cycles": list(scenario.power_cycles),
-        "checkpoint_threshold": scenario.checkpoint_threshold,
-        "sabotage": scenario.sabotage,
-        "final_power_cycle": scenario.final_power_cycle,
-        "read_every": scenario.read_every,
-        "group_commit": scenario.group_commit,
-        "workload": scenario.workload,
-    }
-
-
 def scenario_from_dict(data: dict) -> ChaosScenario:
-    return ChaosScenario(
-        seed=data["seed"],
-        scheme=data["scheme"],
-        streams=tuple(
-            tuple(tuple(tuple(op) for op in txn) for txn in stream)
-            for stream in data["streams"]
-        ),
-        plan=FaultPlan.from_json(data["plan"]) if data.get("plan") else None,
-        storms=data.get("storms", 0),
-        storm_interval_ns=data.get("storm_interval_ns", 4_000_000),
-        power_cycles=tuple(data.get("power_cycles", ())),
-        checkpoint_threshold=data.get(
-            "checkpoint_threshold", DEFAULT_CHAOS_THRESHOLD
-        ),
-        sabotage=data.get("sabotage", False),
-        final_power_cycle=data.get("final_power_cycle", True),
-        read_every=data.get("read_every", 2),
-        group_commit=data.get("group_commit", False),
-        workload=data.get("workload", "mobi"),
-    )
+    return load_scenario(ChaosScenario, data)
 
 
 # ----------------------------------------------------------------------
@@ -813,17 +666,12 @@ class ChaosTask:
 
 def run_task(task: ChaosTask) -> dict:
     """Build and run one seed's scenario; JSON-able result for digests."""
-    scheme = (
-        ROTATION[task.seed % len(ROTATION)]
-        if task.scheme == "rotate"
-        else task.scheme
-    )
     scenario = make_scenario(
         task.seed,
         sessions=task.sessions,
         txns=task.txns,
         txn_size=task.txn_size,
-        scheme=scheme,
+        scheme=rotate(task.scheme, ROTATION, task.seed),
         faults=task.faults,
         storms=task.storms,
         power_cycles=task.power_cycles,
@@ -833,18 +681,12 @@ def run_task(task: ChaosTask) -> dict:
         workload=task.workload,
     )
     outcome = run_chaos(scenario)
-    result = dict(outcome.summary)
-    result["scenario"] = scenario_to_dict(scenario)
-    return result
-
-
-def main(argv=None) -> int:
-    from repro.service.cli import main as cli_main
-
-    return cli_main(argv)
+    return {**outcome.summary, "scenario": scenario_to_dict(scenario)}
 
 
 if __name__ == "__main__":
     import sys
+
+    from repro.service.cli import main
 
     sys.exit(main())

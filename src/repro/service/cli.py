@@ -12,45 +12,65 @@ Examples::
     # replay a recorded failing trace
     python -m repro.service.chaos --replay chaos-traces/minimized-2.json
 
-Exit status: 0 for a clean sweep (or a sabotage self-test that found,
-minimized, and deterministically replayed the planted bug), 1 otherwise.
-The digest line is a SHA-256 over canonical JSON results and is
-bit-identical for any ``--jobs`` value.
+Digest line, trace files, ``--replay`` and exit status follow the shared
+harness contract in :mod:`repro.harness.kernel`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
 import sys
 
 from repro.bench.harness import parallel_map
+from repro.harness.kernel import (
+    Harness,
+    add_scheme_flag,
+    conclude,
+    harness_parser,
+    replay,
+)
+from repro.harness.streams import STREAM_WORKLOADS, stream_sizes
 from repro.service.chaos import (
-    CHAOS_WORKLOADS,
     DEFAULT_CHAOS_THRESHOLD,
     ChaosTask,
+    minimize,
     run_chaos,
     run_task,
     scenario_from_dict,
-    scenario_to_dict,
 )
-from repro.torture.driver import ROTATION, SCHEMES
 
-#: Raw traces written per run before we stop (one per failure otherwise).
-_MAX_TRACES = 5
+
+def _summarize(_original, small) -> str:
+    return (
+        f"minimized: {stream_sizes(small.streams)}, "
+        f"power_cycles={list(small.power_cycles)}, storms={small.storms}"
+        + (", faults kept" if small.plan else ", faults dropped")
+    )
+
+
+HARNESS = Harness(
+    run=run_chaos,
+    shrink=minimize,
+    load=lambda trace: scenario_from_dict(trace["scenario"]),
+    describe=lambda s: (
+        f"seed={s.seed} scheme={s.scheme} sessions={len(s.streams)} "
+        f"power_cycles={list(s.power_cycles)}"
+    ),
+    summarize=_summarize,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service.chaos",
-        description="Concurrent-service chaos harness: N cooperative client "
-        "sessions against one NVWAL database under fault storms, scripted "
-        "power cuts, deadlines, and degraded modes, checked against an "
+    parser = harness_parser(
+        "python -m repro.service.chaos",
+        "Concurrent-service chaos harness: N cooperative client sessions "
+        "against one NVWAL database under fault storms, scripted power "
+        "cuts, deadlines, and degraded modes, checked against an "
         "acked-transaction oracle.",
+        seeds=8,
+        trace_dir="chaos-traces",
+        threshold=DEFAULT_CHAOS_THRESHOLD,
     )
-    parser.add_argument("--seeds", type=int, default=8, help="seeds 0..N-1 to sweep")
     parser.add_argument(
         "--sessions", type=int, default=4, help="concurrent client sessions"
     )
@@ -60,12 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--txn-size", type=int, default=3, help="max ops per transaction"
     )
-    parser.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
+    add_scheme_flag(parser)
     parser.add_argument(
         "--faults",
         default="power",
@@ -87,24 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="mid-flight power cuts per seed (0 = only the final one)",
     )
     parser.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_CHAOS_THRESHOLD,
-        help="WAL frames per checkpoint (small = frequent checkpoints)",
-    )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    parser.add_argument(
-        "--trace-dir",
-        default="chaos-traces",
-        help="directory for failing-trace JSON files",
-    )
-    parser.add_argument(
-        "--replay", metavar="TRACE", help="replay one recorded trace and exit"
-    )
-    parser.add_argument(
         "--workload",
         default="mobi",
-        choices=list(CHAOS_WORKLOADS),
+        choices=list(STREAM_WORKLOADS),
         help="session stream generator: 'mobi' (free-key insert/update/"
         "delete mix), 'ycsb' (zipfian-skewed hot-key read-write mix), or "
         "'queue' (FIFO enqueue/dequeue streams)",
@@ -123,84 +123,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "(with --group-commit, before the epoch barrier); the sweep must "
         "find, minimize, and deterministically replay an ack-lost violation",
     )
-    parser.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="write raw failing traces without shrinking them",
-    )
     return parser
-
-
-def _replay(path: str) -> int:
-    with open(path, encoding="utf-8") as fh:
-        trace = json.load(fh)
-    scenario = scenario_from_dict(trace["scenario"])
-    first = run_chaos(scenario)
-    second = run_chaos(scenario)
-    print(
-        f"replaying {path}: seed={scenario.seed} scheme={scenario.scheme} "
-        f"sessions={len(scenario.streams)} "
-        f"power_cycles={list(scenario.power_cycles)}"
-    )
-    for violation in first.violations:
-        print(f"  {violation}")
-    if first.violations != second.violations:
-        print("replay is NOT deterministic — harness bug")
-        return 1
-    if not first.violations:
-        print("  no violations (scenario passes)")
-        return 0
-    print(f"  {len(first.violations)} violation(s), deterministic across replays")
-    return 1
-
-
-def _write_trace(trace_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(trace_dir, exist_ok=True)
-    path = os.path.join(trace_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _minimize_and_verify(failure: dict, trace_dir: str) -> bool:
-    """Shrink the first failure, record it, and prove the replay is
-    deterministic.  Returns True on a verified deterministic trace."""
-    from repro.service.minimize import minimize
-
-    scenario = scenario_from_dict(failure["scenario"])
-    small = minimize(scenario)
-    first = run_chaos(small)
-    second = run_chaos(small)
-    path = _write_trace(
-        trace_dir,
-        f"minimized-{small.seed}.json",
-        {
-            "scenario": scenario_to_dict(small),
-            "violations": list(first.violations),
-        },
-    )
-    txns = sum(len(stream) for stream in small.streams)
-    ops = sum(len(txn) for stream in small.streams for txn in stream)
-    print(
-        f"minimized: {ops} op(s) in {txns} txn(s) across "
-        f"{len(small.streams)} session(s), "
-        f"power_cycles={list(small.power_cycles)}, storms={small.storms}"
-        + (", faults kept" if small.plan else ", faults dropped")
-    )
-    for violation in first.violations:
-        print(f"  {violation}")
-    print(f"minimized trace: {path}")
-    if not first.violations or first.violations != second.violations:
-        print("minimized trace does NOT replay deterministically — harness bug")
-        return False
-    print("minimized trace replays deterministically")
-    return True
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.replay:
-        return _replay(args.replay)
+        return replay(HARNESS, args.replay)
     faults = tuple(
         sorted({f.strip() for f in args.faults.split(",") if f.strip()})
     )
@@ -249,36 +178,11 @@ def main(argv=None) -> int:
             f"{result.get('shed_acked', 0)} shed, "
             f"{len(violations)} violation(s)"
         )
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     print(
         f"total: {acked} acked txn(s), {crashes} power cycle(s), "
         f"{len(failures)} violating seed(s)"
     )
-    print(f"result digest: sha256:{digest}")
-
-    if args.sabotage:
-        if not failures:
-            print("sabotage self-test FAILED: the planted bug went undetected")
-            return 1
-        print(
-            f"sabotage self-test: planted bug detected in "
-            f"{len(failures)} seed(s)"
-        )
-        return 0 if _minimize_and_verify(failures[0], args.trace_dir) else 1
-
-    if not failures:
-        return 0
-    for i, failure in enumerate(failures[:_MAX_TRACES]):
-        path = _write_trace(
-            args.trace_dir,
-            f"trace-{failure['seed']}-{i}.json",
-            failure,
-        )
-        print(f"failing trace: {path}")
-    if not args.no_minimize:
-        _minimize_and_verify(failures[0], args.trace_dir)
-    return 1
+    return conclude(HARNESS, results, failures, args)
 
 
 if __name__ == "__main__":

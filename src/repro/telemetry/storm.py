@@ -18,8 +18,8 @@ with ``cmp``).
 from __future__ import annotations
 
 from repro.faults import FaultPlan, MediaFaultSpec
+from repro.harness.streams import session_stream
 from repro.replication.cluster import Cluster, ReplicationConfig
-from repro.service.chaos import _session_stream
 from repro.service.sched import Scheduler
 from repro.service.server import ServiceConfig
 from repro.service.session import ClientSession
@@ -78,7 +78,7 @@ def run_storm(
         for s in range(sessions)
     ]
     for s, client in enumerate(clients):
-        for txn in _session_stream(
+        for txn in session_stream(
             seed, s, sessions, txns_per_session, txn_size
         ):
             client.enqueue(txn)

@@ -7,22 +7,21 @@ tri-state consistency, no leaked log blocks, recovery idempotence), and
 records failing scenarios as replayable, auto-minimized JSON traces.
 """
 
+from repro.harness.codec import scenario_to_dict
+from repro.harness.crash import Profile, ScenarioOutcome
+from repro.harness.minimize import violation_codes
 from repro.torture.driver import (
-    Profile,
     SabotagedNvwalBackend,
-    ScenarioOutcome,
     SeedTask,
     TortureScenario,
     build_fault_plan,
     make_scenario,
-    measure_recovery_ops,
     profile_scenario,
     run_scenario,
     run_seed,
     scenario_from_dict,
-    scenario_to_dict,
 )
-from repro.torture.minimize import minimize, violation_codes
+from repro.torture.minimize import minimize
 from repro.torture.workload import (
     DDL,
     TABLE,
@@ -46,7 +45,6 @@ __all__ = [
     "build_fault_plan",
     "generate_txns",
     "make_scenario",
-    "measure_recovery_ops",
     "minimize",
     "model_states",
     "profile_scenario",

@@ -11,45 +11,69 @@ Examples::
     # replay a recorded failing trace
     python -m repro.torture --replay torture-traces/minimized-3.json
 
-Exit status: 0 for a clean sweep (or a sabotage self-test that found,
-minimized, and deterministically replayed the planted bug), 1 otherwise.
-The final digest line is a SHA-256 over the canonical JSON results; it is
-bit-identical for any ``--jobs`` value, which is what makes parallel
-sweeps trustworthy.
+Digest line, trace files, ``--replay`` and exit status follow the shared
+harness contract in :mod:`repro.harness.kernel`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import os
 import sys
 
 from repro.bench.harness import parallel_map
+from repro.harness.kernel import (
+    Harness,
+    add_scheme_flag,
+    conclude,
+    harness_parser,
+    replay,
+    rotate,
+)
 from repro.torture.driver import (
     DEFAULT_TORTURE_THRESHOLD,
-    ROTATION,
-    SCHEMES,
     SeedTask,
     run_scenario,
     run_seed,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from repro.torture.minimize import minimize
+from repro.wal.nvwal import ROTATION
 
-#: Raw traces written per run before we stop (one per failure otherwise).
-_MAX_TRACES = 5
+
+def _summarize(_original, small) -> str:
+    ops = sum(len(txn) for txn in small.txns)
+    return (
+        f"minimized: {ops} op(s) in {len(small.txns)} txn(s), "
+        f"crash_point={small.crash_point}"
+        + (
+            f", recovery_crash_point={small.recovery_crash_point}"
+            if small.recovery_crash_point
+            else ""
+        )
+        + (", faults kept" if small.plan else ", faults dropped")
+    )
+
+
+HARNESS = Harness(
+    run=run_scenario,
+    shrink=minimize,
+    load=lambda trace: scenario_from_dict(trace["scenario"]),
+    describe=lambda s: (
+        f"seed={s.seed} scheme={s.scheme} crash_point={s.crash_point}"
+    ),
+    summarize=_summarize,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.torture",
-        description="Crash-consistency torture harness: sweep every crash "
-        "point, layer media/IO faults, and check recovery invariants.",
+    parser = harness_parser(
+        "python -m repro.torture",
+        "Crash-consistency torture harness: sweep every crash point, layer "
+        "media/IO faults, and check recovery invariants.",
+        seeds=8,
+        trace_dir="torture-traces",
+        threshold=DEFAULT_TORTURE_THRESHOLD,
     )
-    parser.add_argument("--seeds", type=int, default=8, help="seeds 0..N-1 to sweep")
     parser.add_argument("--ops", type=int, default=30, help="workload operations per seed")
     parser.add_argument(
         "--txn-size", type=int, default=3, help="max ops per transaction"
@@ -60,12 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of power,media,io (power loss is always exercised; "
         "media adds NVRAM decay, io adds transient eMMC errors)",
     )
-    parser.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
+    add_scheme_flag(parser)
     parser.add_argument(
         "--stride", type=int, default=1, help="crash-point stride (1 = every op)"
     )
@@ -76,12 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="commit boundaries whose recovery is swept op by op",
     )
     parser.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_TORTURE_THRESHOLD,
-        help="WAL frames per checkpoint (small = frequent checkpoints)",
-    )
-    parser.add_argument(
         "--group-epoch",
         type=int,
         default=0,
@@ -90,15 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "epoch every N transactions (0 = per-transaction durability); the "
         "state oracle then only accepts whole-epoch boundaries",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    parser.add_argument(
-        "--trace-dir",
-        default="torture-traces",
-        help="directory for failing-trace JSON files",
-    )
-    parser.add_argument(
-        "--replay", metavar="TRACE", help="replay one recorded trace and exit"
-    )
     parser.add_argument(
         "--sabotage",
         action="store_true",
@@ -106,79 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "the sweep must find, minimize, and deterministically replay a "
         "durability violation",
     )
-    parser.add_argument(
-        "--no-minimize",
-        action="store_true",
-        help="write raw failing traces without shrinking them",
-    )
     return parser
-
-
-def _replay(path: str) -> int:
-    with open(path, encoding="utf-8") as fh:
-        trace = json.load(fh)
-    scenario = scenario_from_dict(trace["scenario"])
-    first = run_scenario(scenario)
-    second = run_scenario(scenario)
-    print(f"replaying {path}: seed={scenario.seed} scheme={scenario.scheme} "
-          f"crash_point={scenario.crash_point}")
-    for violation in first.violations:
-        print(f"  {violation}")
-    if first.violations != second.violations:
-        print("replay is NOT deterministic — harness bug")
-        return 1
-    if not first.violations:
-        print("  no violations (scenario passes)")
-        return 0
-    print(f"  {len(first.violations)} violation(s), deterministic across replays")
-    return 1
-
-
-def _write_trace(trace_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(trace_dir, exist_ok=True)
-    path = os.path.join(trace_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
-
-
-def _minimize_and_verify(failure: dict, trace_dir: str) -> bool:
-    """Shrink the first failure, record it, and prove the replay is
-    deterministic.  Returns True on a verified deterministic trace."""
-    scenario = scenario_from_dict(failure["scenario"])
-    small = minimize(scenario)
-    first = run_scenario(small)
-    second = run_scenario(small)
-    path = _write_trace(
-        trace_dir,
-        f"minimized-{small.seed}.json",
-        {"scenario": scenario_to_dict(small), "violations": list(first.violations)},
-    )
-    ops = sum(len(txn) for txn in small.txns)
-    print(
-        f"minimized: {ops} op(s) in {len(small.txns)} txn(s), "
-        f"crash_point={small.crash_point}"
-        + (
-            f", recovery_crash_point={small.recovery_crash_point}"
-            if small.recovery_crash_point
-            else ""
-        )
-        + (", faults kept" if small.plan else ", faults dropped")
-    )
-    for violation in first.violations:
-        print(f"  {violation}")
-    print(f"minimized trace: {path}")
-    if not first.violations or first.violations != second.violations:
-        print("minimized trace does NOT replay deterministically — harness bug")
-        return False
-    print("minimized trace replays deterministically")
-    return True
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.replay:
-        return _replay(args.replay)
+        return replay(HARNESS, args.replay)
     faults = tuple(
         sorted({f.strip() for f in args.faults.split(",") if f.strip()})
     )
@@ -186,11 +124,7 @@ def main(argv=None) -> int:
         SeedTask(
             seed=seed,
             ops=args.ops,
-            scheme=(
-                ROTATION[seed % len(ROTATION)]
-                if args.scheme == "rotate"
-                else args.scheme
-            ),
+            scheme=rotate(args.scheme, ROTATION, seed),
             faults=faults,
             txn_size=args.txn_size,
             stride=args.stride,
@@ -219,31 +153,8 @@ def main(argv=None) -> int:
             f"recovery-crash runs, {result['checkpoints']} checkpoint(s), "
             f"{len(result['failures'])} violation(s)"
         )
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     print(f"total: {total_runs} runs, {len(failures)} violating scenario(s)")
-    print(f"result digest: sha256:{digest}")
-
-    if args.sabotage:
-        if not failures:
-            print("sabotage self-test FAILED: the planted bug went undetected")
-            return 1
-        print(f"sabotage self-test: planted bug detected in "
-              f"{len(failures)} scenario(s)")
-        return 0 if _minimize_and_verify(failures[0], args.trace_dir) else 1
-
-    if not failures:
-        return 0
-    for i, failure in enumerate(failures[:_MAX_TRACES]):
-        path = _write_trace(
-            args.trace_dir,
-            f"trace-{failure['scenario']['seed']}-{i}.json",
-            failure,
-        )
-        print(f"failing trace: {path}")
-    if not args.no_minimize:
-        _minimize_and_verify(failures[0], args.trace_dir)
-    return 1
+    return conclude(HARNESS, results, failures, args)
 
 
 if __name__ == "__main__":

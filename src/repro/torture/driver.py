@@ -32,40 +32,35 @@ from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import PowerFailure
 from repro.faults import FaultPlan, IoFaultSpec, MediaFaultSpec
+from repro.harness.codec import load_scenario
+from repro.harness.crash import (
+    Profile,
+    ScenarioOutcome,
+    checkpoint_floor,
+    crash_points,
+    profile_steps,
+    run_guarded,
+    run_sweep,
+    run_until_crash,
+)
 from repro.system import System
 from repro.torture.workload import (
-    DDL,
     NO_TABLE,
     TABLE,
-    apply_txn,
-    apply_txn_grouped,
     generate_txns,
     model_states,
     run_workload,
+    workload_steps,
 )
 from repro.wal.base import SyncMode
 from repro.wal.frames import commit_mark_bytes
-from repro.wal.nvwal import NvwalBackend, NvwalScheme
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 
 #: Small checkpoint threshold (in WAL frames) so a 30-op workload crosses
 #: several checkpoints and the sweep exercises crash-during-checkpoint.
 DEFAULT_TORTURE_THRESHOLD = 12
 
 DB_NAME = "torture.db"
-
-#: Schemes the harness knows how to build, by trace-friendly name.
-SCHEMES = {
-    "eager": NvwalScheme.eager,
-    "ls": NvwalScheme.ls,
-    "ls_diff": NvwalScheme.ls_diff,
-    "cs_diff": NvwalScheme.cs_diff,
-    "uh_ls": NvwalScheme.uh_ls,
-    "uh_ls_diff": NvwalScheme.uh_ls_diff,
-    "uh_cs_diff": NvwalScheme.uh_cs_diff,
-}
-
-#: Default per-seed scheme rotation (the three the crash matrix covers).
-ROTATION = ("uh_ls_diff", "ls", "eager")
 
 
 class SabotagedNvwalBackend(NvwalBackend):
@@ -105,29 +100,6 @@ class TortureScenario:
     #: allowed boundaries to them: a crash inside an open epoch must
     #: lose the whole epoch, never a transaction from a closed one.
     group_epoch: int = 0
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Measured shape of a scenario's uncrashed run."""
-
-    total_ops: int  # crash points available in the workload
-    bounds: tuple  # bounds[b]: op count when boundary b completed
-    ckpt_events: tuple  # (op count at completion, boundary checkpointed)
-
-
-@dataclass(frozen=True)
-class ScenarioOutcome:
-    """What one scenario run produced."""
-
-    violations: tuple
-    crashed: bool = False
-    crashed_in_recovery: bool = False
-    matched_boundary: int | None = None
-    #: Primitive CPU ops observed inside reboot + WAL recovery — the sweep
-    #: space for ``recovery_crash_point`` (0 when recovery only performs
-    #: failure-atomic heap-metadata updates, which cannot be interrupted).
-    recovery_ops: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -206,74 +178,13 @@ def _make_db(system: System, scenario: TortureScenario) -> Database:
 
 
 def profile_scenario(scenario: TortureScenario) -> Profile:
-    """Run the workload once, uncrashed, counting primitive CPU ops.
-
-    Every run of the same scenario executes identically up to its crash
-    point, so the measured transaction boundaries and checkpoint
-    completions are valid for the whole sweep.
-    """
+    """Run the workload once, uncrashed, counting primitive CPU ops per
+    transaction boundary (see :func:`repro.harness.crash.profile_steps`)."""
     system = _make_system(scenario)
     db = _make_db(system, scenario)
-    counter = [0]
-
-    def hook(_op: str) -> None:
-        counter[0] += 1
-
-    system.cpu.crash_hook = hook
-    bounds = [0]
-    boundary = [1]
-    ckpt_events: list[tuple[int, int]] = []
-    wal_checkpoint = db.wal.checkpoint
-
-    def tracked_checkpoint() -> int:
-        written = wal_checkpoint()
-        ckpt_events.append((counter[0], boundary[0]))
-        return written
-
-    db.wal.checkpoint = tracked_checkpoint
-    db.execute(DDL)
-    bounds.append(counter[0])
-    group = scenario.group_epoch
-    for i, txn in enumerate(scenario.txns):
-        boundary[0] = i + 2
-        if group > 0:
-            apply_txn_grouped(db, txn)
-            if (i + 1) % group == 0:
-                db.flush_group()
-        else:
-            apply_txn(db, txn)
-        bounds.append(counter[0])
-    if group > 0:
-        # The drain flush belongs to the last boundary: a crash before it
-        # completes must not count that epoch as committed.
-        db.flush_group()
-        bounds[-1] = counter[0]
-    system.cpu.crash_hook = None
-    return Profile(
-        total_ops=counter[0],
-        bounds=tuple(bounds),
-        ckpt_events=tuple(ckpt_events),
+    return profile_steps(
+        system, db, workload_steps(db, scenario.txns, scenario.group_epoch)
     )
-
-
-def measure_recovery_ops(scenario: TortureScenario) -> int:
-    """Primitive ops spent recovering from this scenario's crash.
-
-    Runs the scenario to its crash point, cuts power, then counts the
-    ops in reboot + database recovery — the sweep space for
-    ``recovery_crash_point``.  Returns 0 if the crash point is past the
-    end of the workload.
-    """
-    system, crashed = _run_until_crash(scenario)
-    if not crashed:
-        return 0
-    system.power_fail()
-
-    def do_recovery() -> None:
-        system.reboot()
-        _make_db(system, scenario)
-
-    return system.crash.count_ops(do_recovery)
 
 
 # ----------------------------------------------------------------------
@@ -285,38 +196,22 @@ def _run_until_crash(scenario: TortureScenario) -> tuple[System, bool]:
     """Execute the workload, crashing at ``crash_point`` if reachable."""
     system = _make_system(scenario)
     db = _make_db(system, scenario)
-    crashed = False
-    if scenario.crash_point > 0:
-        system.crash.arm(scenario.crash_point)
-    try:
-        run_workload(db, scenario.txns, group_epoch=scenario.group_epoch)
-    except PowerFailure:
-        crashed = True
-    if not crashed and scenario.crash_point > 0:
-        system.crash.disarm()
+    crashed = run_until_crash(
+        system,
+        scenario.crash_point,
+        lambda: run_workload(db, scenario.txns, group_epoch=scenario.group_epoch),
+    )
     return system, crashed
 
 
 def run_scenario(
     scenario: TortureScenario, profile: Profile | None = None
 ) -> ScenarioOutcome:
-    """Run one scenario end to end and check every oracle.
-
-    Any exception other than the injected :class:`PowerFailure` is itself
-    an invariant violation (recovery code must degrade, not crash), so
-    the harness converts it into an ``error:`` finding instead of dying.
-    """
+    """Run one scenario end to end and check every oracle; an exception
+    other than the injected power failure becomes an ``error:`` finding."""
     if profile is None:
         profile = profile_scenario(scenario)
-    try:
-        return _run_scenario_checked(scenario, profile)
-    except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        return ScenarioOutcome(
-            violations=(
-                f"error: unhandled {type(exc).__name__} escaped the "
-                f"crash/recovery path: {exc}",
-            )
-        )
+    return run_guarded(_run_scenario_checked, scenario, profile)
 
 
 def _run_scenario_checked(
@@ -345,18 +240,12 @@ def _run_scenario_checked(
         # Count recovery's own primitive ops while we are here: the sweep
         # driver uses the measurement to pick crash points whose recovery
         # is worth crashing *into*.
-        counter = [0]
-
-        def hook(_op: str) -> None:
-            counter[0] += 1
-
-        system.cpu.crash_hook = hook
-        try:
+        def recover() -> None:
+            nonlocal db
             system.reboot()
             db = _make_db(system, scenario)
-        finally:
-            system.cpu.crash_hook = None
-        recovery_ops = counter[0]
+
+        recovery_ops = system.crash.count_ops(recover)
 
     violations: list[str] = []
     allowed = _allowed_boundaries(scenario, profile, crashed, last_boundary)
@@ -419,17 +308,12 @@ def _allowed_boundaries(
             committed = high = last_boundary
         allowed = set(range(committed, high + 1))
     # Media decay and asynchronous (checksum) commit may legitimately shed
-    # the WAL tail — but never below the last completed checkpoint, whose
-    # pages are fsynced into the database file.
+    # the WAL tail — but never below the last completed checkpoint.
     relaxed = (
         scenario.plan is not None and scenario.plan.media is not None
     ) or SCHEMES[scenario.scheme]().sync is SyncMode.CHECKSUM
     if relaxed:
-        floor = 0
-        cutoff = scenario.crash_point - 1 if crashed else profile.total_ops
-        for ops_at_completion, boundary in profile.ckpt_events:
-            if ops_at_completion <= cutoff:
-                floor = max(floor, boundary)
+        floor = checkpoint_floor(profile, scenario.crash_point, crashed)
         if scenario.group_epoch > 0:
             closes = _close_boundaries(scenario.group_epoch, last_boundary)
             return {b for b in closes if floor <= b <= high}
@@ -576,47 +460,34 @@ def run_seed(task: SeedTask) -> dict:
         group_epoch=task.group_epoch,
     )
     profile = profile_scenario(base)
-    runs = 0
-    crashes = 0
-    failures: list[dict] = []
-
-    def record(scenario: TortureScenario, outcome: ScenarioOutcome) -> None:
-        nonlocal runs, crashes
-        runs += 1
-        crashes += int(outcome.crashed)
-        if outcome.violations:
-            failures.append(
-                {
-                    "scenario": scenario_to_dict(scenario),
-                    "violations": list(outcome.violations),
-                }
-            )
-
-    recovery_depth: list[tuple[int, int]] = []  # (-ops, crash point)
-    for k in [0, *range(1, profile.total_ops + 1, task.stride)]:
-        scenario = replace(base, crash_point=k)
-        outcome = run_scenario(scenario, profile)
-        record(scenario, outcome)
-        if k > 0 and outcome.crashed and outcome.recovery_ops > 0:
-            recovery_depth.append((-outcome.recovery_ops, k))
-
-    recovery_runs = 0
-    for neg_ops, k in sorted(recovery_depth)[: task.recovery_points]:
-        crashed_scenario = replace(base, crash_point=k)
-        for r in range(1, -neg_ops + 1):
-            scenario = replace(crashed_scenario, recovery_crash_point=r)
-            record(scenario, run_scenario(scenario, profile))
-            recovery_runs += 1
-
+    points = crash_points(profile, task.stride)
+    outcomes, failures = run_sweep(
+        [replace(base, crash_point=k) for k in points],
+        profile,
+        run_scenario,
+    )
+    recovery_depth = sorted(
+        (-outcome.recovery_ops, k)
+        for k, outcome in zip(points, outcomes)
+        if k > 0 and outcome.crashed and outcome.recovery_ops > 0
+    )
+    deep = [
+        replace(base, crash_point=k, recovery_crash_point=r)
+        for neg_ops, k in recovery_depth[: task.recovery_points]
+        for r in range(1, -neg_ops + 1)
+    ]
+    deep_outcomes, deep_failures = run_sweep(deep, profile, run_scenario)
+    outcomes += deep_outcomes
+    failures += deep_failures
     return {
         "seed": task.seed,
         "scheme": base.scheme,
         "total_ops": profile.total_ops,
         "boundaries": len(profile.bounds) - 1,
         "checkpoints": len(profile.ckpt_events),
-        "runs": runs,
-        "crashes": crashes,
-        "recovery_runs": recovery_runs,
+        "runs": len(outcomes),
+        "crashes": sum(outcome.crashed for outcome in outcomes),
+        "recovery_runs": len(deep),
         "failures": failures,
     }
 
@@ -626,35 +497,5 @@ def run_seed(task: SeedTask) -> dict:
 # ----------------------------------------------------------------------
 
 
-def scenario_to_dict(scenario: TortureScenario) -> dict:
-    """JSON-able form of a scenario, for trace files."""
-    return {
-        "seed": scenario.seed,
-        "scheme": scenario.scheme,
-        "txns": [[list(op) for op in txn] for txn in scenario.txns],
-        "crash_point": scenario.crash_point,
-        "recovery_crash_point": scenario.recovery_crash_point,
-        "plan": scenario.plan.to_json() if scenario.plan else None,
-        "checkpoint_threshold": scenario.checkpoint_threshold,
-        "sabotage": scenario.sabotage,
-        "group_epoch": scenario.group_epoch,
-    }
-
-
 def scenario_from_dict(data: dict) -> TortureScenario:
-    """Rebuild a scenario from :func:`scenario_to_dict` output."""
-    return TortureScenario(
-        seed=data["seed"],
-        scheme=data["scheme"],
-        txns=tuple(
-            tuple(tuple(op) for op in txn) for txn in data["txns"]
-        ),
-        crash_point=data.get("crash_point", 0),
-        recovery_crash_point=data.get("recovery_crash_point"),
-        plan=FaultPlan.from_json(data["plan"]) if data.get("plan") else None,
-        checkpoint_threshold=data.get(
-            "checkpoint_threshold", DEFAULT_TORTURE_THRESHOLD
-        ),
-        sabotage=data.get("sabotage", False),
-        group_epoch=data.get("group_epoch", 0),
-    )
+    return load_scenario(TortureScenario, data)

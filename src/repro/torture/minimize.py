@@ -10,11 +10,12 @@ in the order that preserves the most meaning:
 3. **fault set** — drop the whole plan, a whole fault class, then
    individual fault counts.
 
-Every candidate is re-run; a shrink is kept only if the *same class* of
-violation (the ``code:`` prefix of the finding) still fires, so the
-minimizer cannot drift from a durability bug to an unrelated error.
-All runs are seeded and deterministic, so the minimized scenario fails
-identically every time it is replayed.
+Every candidate is re-run by :func:`repro.harness.minimize.minimize`; a
+shrink is kept only if the *same class* of violation (the ``code:``
+prefix of the finding) still fires, so the minimizer cannot drift from a
+durability bug to an unrelated error.  All runs are seeded and
+deterministic, so the minimized scenario fails identically every time
+it is replayed.
 """
 
 from __future__ import annotations
@@ -22,60 +23,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.faults import FaultPlan, MediaFaultSpec
-from repro.shrink import shrink_sequence
-from repro.torture.driver import ScenarioOutcome, TortureScenario, run_scenario
-
-
-def violation_codes(outcome: ScenarioOutcome) -> frozenset:
-    """The ``code`` prefixes (``state``, ``leak``, ...) of the findings."""
-    return frozenset(v.split(":", 1)[0] for v in outcome.violations)
-
-
-def minimize(scenario: TortureScenario) -> TortureScenario:
-    """Greedy shrink preserving at least one original violation class."""
-    codes = violation_codes(run_scenario(scenario))
-    if not codes:
-        raise ValueError("scenario does not fail; nothing to minimize")
-
-    def still_fails(candidate: TortureScenario) -> bool:
-        return bool(violation_codes(run_scenario(candidate)) & codes)
-
-    scenario = _shrink_txns(scenario, still_fails)
-    scenario = _shrink_ops(scenario, still_fails)
-    scenario = _shrink_crash_points(scenario, still_fails)
-    scenario = _shrink_faults(scenario, still_fails)
-    return scenario
-
-
-def _shrink_txns(scenario, still_fails):
-    """Drop whole transactions (chunked greedy, via the shared engine)."""
-    kept = shrink_sequence(
-        scenario.txns,
-        lambda txns: still_fails(replace(scenario, txns=tuple(txns))),
-    )
-    return replace(scenario, txns=tuple(kept))
-
-
-def _shrink_ops(scenario, still_fails):
-    """Drop individual ops inside the surviving transactions."""
-    for ti in reversed(range(len(scenario.txns))):
-        txn = scenario.txns[ti]
-        if len(txn) <= 1:
-            continue  # _shrink_txns already tried dropping it whole
-
-        def rebuild(ops, ti=ti):
-            return replace(
-                scenario,
-                txns=scenario.txns[:ti]
-                + (tuple(ops),)
-                + scenario.txns[ti + 1 :],
-            )
-
-        kept = shrink_sequence(
-            txn, lambda ops: still_fails(rebuild(ops)), min_size=1
-        )
-        scenario = rebuild(kept)
-    return scenario
+from repro.harness.minimize import minimize as minimize_scenario
+from repro.harness.minimize import shrink_each
+from repro.torture.driver import TortureScenario, run_scenario
 
 
 def _shrink_crash_points(scenario, still_fails):
@@ -131,3 +81,19 @@ def _shrink_faults(scenario, still_fails):
                 scenario = candidate
                 plan = stripped
     return scenario
+
+
+#: Torture's shrink passes, in order: whole transactions, ops inside the
+#: surviving transactions (last transaction first), crash points, faults.
+PASSES = (
+    shrink_each("txns"),
+    shrink_each("txns", 1, min_size=1, reverse=True),
+    _shrink_crash_points,
+    _shrink_faults,
+)
+
+
+def minimize(scenario: TortureScenario) -> TortureScenario:
+    """Greedy shrink preserving at least one original violation class
+    (a scenario that does not fail comes back unchanged)."""
+    return minimize_scenario(scenario, run_scenario, PASSES)

@@ -108,27 +108,41 @@ def _apply_op(db, op: Op) -> None:
         raise ValueError(f"unknown workload op kind: {kind!r}")
 
 
-def run_workload(db, txns: tuple[Txn, ...], group_epoch: int = 0) -> None:
-    """The full scripted run: DDL first (boundary 1), then every
-    transaction (boundaries 2..N).
+def workload_steps(db, txns: tuple[Txn, ...], group_epoch: int = 0) -> list:
+    """The scripted run as model-boundary steps: the DDL (boundary 1),
+    then one step per transaction (boundaries 2..N).
 
     With ``group_epoch`` > 0 the transactions commit through the WAL's
     group-commit path instead: each joins the open epoch, and the epoch
     is closed (one flush + persist-barrier sequence) every
-    ``group_epoch`` transactions and again after the last one.  The DDL
-    stays individually durable — it models the setup phase before the
-    service's coalescer takes over.
+    ``group_epoch`` transactions and again at the end of the last step —
+    a crash before that drain completes must not count the final epoch
+    as committed.  The DDL stays individually durable — it models the
+    setup phase before the service's coalescer takes over.
     """
-    db.execute(DDL)
-    if group_epoch <= 0:
-        for txn in txns:
-            apply_txn(db, txn)
-        return
+    steps = [lambda: db.execute(DDL)]
     for i, txn in enumerate(txns):
-        apply_txn_grouped(db, txn)
-        if (i + 1) % group_epoch == 0:
-            db.flush_group()
-    db.flush_group()
+        if group_epoch <= 0:
+            steps.append(lambda txn=txn: apply_txn(db, txn))
+        else:
+            close = (i + 1) % group_epoch == 0
+            steps.append(lambda txn=txn, close=close: _grouped_step(db, txn, close))
+    if group_epoch > 0:
+        last = steps[-1]
+        steps[-1] = lambda: (last(), db.flush_group())
+    return steps
+
+
+def _grouped_step(db, txn: Txn, close: bool) -> None:
+    apply_txn_grouped(db, txn)
+    if close:
+        db.flush_group()
+
+
+def run_workload(db, txns: tuple[Txn, ...], group_epoch: int = 0) -> None:
+    """The full scripted run (see :func:`workload_steps`)."""
+    for step in workload_steps(db, txns, group_epoch):
+        step()
 
 
 def model_states(txns: tuple[Txn, ...]) -> list:

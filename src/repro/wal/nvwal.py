@@ -146,6 +146,23 @@ class NvwalScheme:
         ]
 
 
+#: Scheme factories by trace-friendly name (CLI choices, trace files,
+#: replication and workload configs).
+SCHEMES = {
+    "eager": NvwalScheme.eager,
+    "ls": NvwalScheme.ls,
+    "ls_diff": NvwalScheme.ls_diff,
+    "cs_diff": NvwalScheme.cs_diff,
+    "uh_ls": NvwalScheme.uh_ls,
+    "uh_ls_diff": NvwalScheme.uh_ls_diff,
+    "uh_cs_diff": NvwalScheme.uh_cs_diff,
+}
+
+#: Default per-seed scheme rotation of the harnesses (the three the crash
+#: matrix covers).
+ROTATION = ("uh_ls_diff", "ls", "eager")
+
+
 @dataclass
 class _EpochState:
     """Volatile bookkeeping for one open group-commit epoch."""

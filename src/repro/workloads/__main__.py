@@ -13,19 +13,17 @@ Examples::
     python -m repro.workloads torture --workload queue --seeds 2 --stride 3
 
 Exit status: 0 for a clean sweep, 1 when any oracle was violated.  The
-digest line is a SHA-256 over canonical JSON results and is
-bit-identical for any ``--jobs`` value.
+digest line is the shared one of :mod:`repro.harness.kernel`.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 
 from repro.bench.harness import parallel_map
-from repro.torture.driver import ROTATION, SCHEMES
+from repro.harness.kernel import add_scheme_flag, print_digest, rotate
+from repro.wal.nvwal import ROTATION
 from repro.workloads.runner import (
     DEFAULT_WORKLOAD_THRESHOLD,
     WORKLOADS,
@@ -39,6 +37,26 @@ from repro.workloads.torture import (
 )
 
 
+def _add_common(sub, *, workload: str, seeds: int, ops: int, threshold: int):
+    """The flags both subcommands take (with their own defaults)."""
+    sub.add_argument(
+        "--workload",
+        default=workload,
+        choices=["all", *WORKLOADS],
+        help=f"workload name (default: {workload})",
+    )
+    sub.add_argument("--seeds", type=int, default=seeds, help="seeds 0..N-1")
+    sub.add_argument("--ops", type=int, default=ops, help="ops per workload run")
+    add_scheme_flag(sub)
+    sub.add_argument(
+        "--checkpoint-threshold",
+        type=int,
+        default=threshold,
+        help="WAL frames per checkpoint",
+    )
+    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads",
@@ -49,19 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute workloads and check oracles")
-    run_p.add_argument(
-        "--workload",
-        default="all",
-        choices=["all", *WORKLOADS],
-        help="workload name (default: all)",
-    )
-    run_p.add_argument("--seeds", type=int, default=4, help="seeds 0..N-1")
-    run_p.add_argument("--ops", type=int, default=120, help="ops per run")
-    run_p.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
+    _add_common(
+        run_p, workload="all", seeds=4, ops=120, threshold=DEFAULT_WORKLOAD_THRESHOLD
     )
     run_p.add_argument(
         "--group-epoch",
@@ -70,51 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="commit through the group-commit epoch, closing it every N "
         "transactions (0 = per-transaction durability)",
     )
-    run_p.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_WORKLOAD_THRESHOLD,
-        help="WAL frames per checkpoint",
-    )
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     tort_p = sub.add_parser(
         "torture", help="crash-point sweeps with per-workload oracles"
     )
-    tort_p.add_argument(
-        "--workload",
-        default="queue",
-        choices=["all", *WORKLOADS],
-        help="workload to sweep (default: queue)",
+    _add_common(
+        tort_p, workload="queue", seeds=2, ops=24, threshold=DEFAULT_TORTURE_THRESHOLD
     )
-    tort_p.add_argument("--seeds", type=int, default=2, help="seeds 0..N-1")
-    tort_p.add_argument("--ops", type=int, default=24, help="ops per workload")
     tort_p.add_argument(
         "--stride", type=int, default=1, help="crash-point stride"
     )
-    tort_p.add_argument(
-        "--scheme",
-        default="rotate",
-        choices=["rotate", *sorted(SCHEMES)],
-        help="NVWAL scheme; 'rotate' cycles %s by seed" % (ROTATION,),
-    )
-    tort_p.add_argument(
-        "--checkpoint-threshold",
-        type=int,
-        default=DEFAULT_TORTURE_THRESHOLD,
-        help="WAL frames per checkpoint",
-    )
-    tort_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     return parser
-
-
-def _digest(results) -> str:
-    canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _scheme_for(arg: str, seed: int) -> str:
-    return ROTATION[seed % len(ROTATION)] if arg == "rotate" else arg
 
 
 def _cmd_run(args) -> int:
@@ -124,7 +97,7 @@ def _cmd_run(args) -> int:
             workload=name,
             seed=seed,
             ops=args.ops,
-            scheme=_scheme_for(args.scheme, seed),
+            scheme=rotate(args.scheme, ROTATION, seed),
             group_epoch=args.group_epoch,
             checkpoint_threshold=args.checkpoint_threshold,
         )
@@ -148,7 +121,7 @@ def _cmd_run(args) -> int:
         )
         for violation in r["violations"]:
             print(f"  {violation}")
-    print(f"result digest: sha256:{_digest(results)}")
+    print_digest(results)
     return 1 if bad else 0
 
 
@@ -159,7 +132,7 @@ def _cmd_torture(args) -> int:
             workload=name,
             seed=seed,
             ops=args.ops,
-            scheme=_scheme_for(args.scheme, seed),
+            scheme=rotate(args.scheme, ROTATION, seed),
             stride=args.stride,
             checkpoint_threshold=args.checkpoint_threshold,
         )
@@ -185,7 +158,7 @@ def _cmd_torture(args) -> int:
             point = failure["scenario"]["crash_point"]
             for violation in failure["violations"]:
                 print(f"  crash@{point}: {violation}")
-    print(f"result digest: sha256:{_digest(results)}")
+    print_digest(results)
     return 1 if failures else 0
 
 

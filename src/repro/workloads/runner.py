@@ -26,8 +26,7 @@ from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import DatabaseError
 from repro.system import System
-from repro.torture.driver import SCHEMES
-from repro.wal.nvwal import NvwalBackend
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 from repro.workloads.core import (
     Workload,
     apply_txn,

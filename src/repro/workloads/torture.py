@@ -1,10 +1,11 @@
 """Crash-point sweeps for the workload suite.
 
-The same discipline as :mod:`repro.torture.driver`, generalized over
-workload families: profile the uncrashed run to learn every primitive-op
-crash point and the checkpoint schedule, then re-run the scenario
-crashing at swept points and hold the recovered database against the
-fold model's boundary states.
+The same discipline as the torture harness, on the shared crash-sweep
+machinery of :mod:`repro.harness.crash`, generalized over workload
+families: profile the uncrashed run to learn every primitive-op crash
+point and the checkpoint schedule, then re-run the scenario crashing at
+swept points and hold the recovered database against the fold model's
+boundary states.
 
 Workload-specific differences from the base driver:
 
@@ -30,11 +31,21 @@ from dataclasses import dataclass, replace
 
 from repro.config import tuna
 from repro.db.database import Database
-from repro.errors import DatabaseError, PowerFailure
+from repro.errors import DatabaseError
+from repro.harness.codec import load_scenario
+from repro.harness.crash import (
+    Profile,
+    ScenarioOutcome,
+    checkpoint_floor,
+    crash_points,
+    profile_steps,
+    run_guarded,
+    run_sweep,
+    run_until_crash,
+)
 from repro.system import System
-from repro.torture.driver import SCHEMES
 from repro.wal.base import SyncMode
-from repro.wal.nvwal import NvwalBackend
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 from repro.workloads.core import apply_txn, db_state, model_states
 from repro.workloads.runner import make_workload
 
@@ -54,44 +65,8 @@ class WorkloadScenario:
     checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Measured shape of a scenario's uncrashed run."""
-
-    total_ops: int
-    bounds: tuple  # bounds[b]: op count when boundary b completed
-    ckpt_events: tuple  # (op count at completion, boundary checkpointed)
-
-
-@dataclass(frozen=True)
-class Outcome:
-    violations: tuple
-    crashed: bool = False
-    matched_boundary: int | None = None
-
-
-def scenario_to_dict(scenario: WorkloadScenario) -> dict:
-    return {
-        "workload": scenario.workload,
-        "seed": scenario.seed,
-        "ops": scenario.ops,
-        "scheme": scenario.scheme,
-        "crash_point": scenario.crash_point,
-        "checkpoint_threshold": scenario.checkpoint_threshold,
-    }
-
-
 def scenario_from_dict(data: dict) -> WorkloadScenario:
-    return WorkloadScenario(
-        workload=data["workload"],
-        seed=data["seed"],
-        ops=data["ops"],
-        scheme=data["scheme"],
-        crash_point=data.get("crash_point", 0),
-        checkpoint_threshold=data.get(
-            "checkpoint_threshold", DEFAULT_TORTURE_THRESHOLD
-        ),
-    )
+    return load_scenario(WorkloadScenario, data)
 
 
 def _make_db(system: System, scenario: WorkloadScenario) -> Database:
@@ -108,60 +83,31 @@ def _script(scenario: WorkloadScenario):
     return workload, workload.generate_txns(scenario.seed, scenario.ops)
 
 
+def _steps(workload, db: Database, txns) -> list:
+    """One step per setup statement, then one per transaction."""
+    return [lambda sql=sql: db.execute(sql) for sql in workload.setup_sql()] + [
+        lambda txn=txn: apply_txn(workload, db, txn) for txn in txns
+    ]
+
+
 def profile_scenario(scenario: WorkloadScenario) -> Profile:
     """Uncrashed run, counting primitive CPU ops per boundary."""
     workload, txns = _script(scenario)
     system = System(tuna(), seed=scenario.seed)
     db = _make_db(system, scenario)
-    counter = [0]
-
-    def hook(_op: str) -> None:
-        counter[0] += 1
-
-    system.cpu.crash_hook = hook
-    bounds = [0]
-    boundary = [0]
-    ckpt_events: list[tuple[int, int]] = []
-    wal_checkpoint = db.wal.checkpoint
-
-    def tracked_checkpoint() -> int:
-        written = wal_checkpoint()
-        ckpt_events.append((counter[0], boundary[0]))
-        return written
-
-    db.wal.checkpoint = tracked_checkpoint
-    for sql in workload.setup_sql():
-        boundary[0] += 1
-        db.execute(sql)
-        bounds.append(counter[0])
-    for txn in txns:
-        boundary[0] += 1
-        apply_txn(workload, db, txn)
-        bounds.append(counter[0])
-    system.cpu.crash_hook = None
-    return Profile(
-        total_ops=counter[0],
-        bounds=tuple(bounds),
-        ckpt_events=tuple(ckpt_events),
-    )
+    return profile_steps(system, db, _steps(workload, db, txns))
 
 
 def _run_until_crash(scenario: WorkloadScenario):
     workload, txns = _script(scenario)
     system = System(tuna(), seed=scenario.seed)
     db = _make_db(system, scenario)
-    crashed = False
-    if scenario.crash_point > 0:
-        system.crash.arm(scenario.crash_point)
-    try:
-        for sql in workload.setup_sql():
-            db.execute(sql)
-        for txn in txns:
-            apply_txn(workload, db, txn)
-    except PowerFailure:
-        crashed = True
-    if not crashed and scenario.crash_point > 0:
-        system.crash.disarm()
+
+    def body() -> None:
+        for step in _steps(workload, db, txns):
+            step()
+
+    crashed = run_until_crash(system, scenario.crash_point, body)
     return system, workload, txns, crashed
 
 
@@ -180,35 +126,23 @@ def _allowed_boundaries(
     if SCHEMES[scenario.scheme]().sync is SyncMode.CHECKSUM:
         # Asynchronous commit may shed the unchecksummed WAL tail — but
         # never below the last completed checkpoint.
-        floor = 0
-        cutoff = scenario.crash_point - 1 if crashed else profile.total_ops
-        for ops_at_completion, boundary in profile.ckpt_events:
-            if ops_at_completion <= cutoff:
-                floor = max(floor, boundary)
+        floor = checkpoint_floor(profile, scenario.crash_point, crashed)
         return set(range(floor, high + 1))
     return set(range(committed, high + 1))
 
 
 def run_scenario(
     scenario: WorkloadScenario, profile: Profile | None = None
-) -> Outcome:
+) -> ScenarioOutcome:
     """Run one scenario end to end; escapes become findings."""
     if profile is None:
         profile = profile_scenario(scenario)
-    try:
-        return _run_scenario_checked(scenario, profile)
-    except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        return Outcome(
-            violations=(
-                f"error: unhandled {type(exc).__name__} escaped the "
-                f"crash/recovery path: {exc}",
-            )
-        )
+    return run_guarded(_run_scenario_checked, scenario, profile)
 
 
 def _run_scenario_checked(
     scenario: WorkloadScenario, profile: Profile
-) -> Outcome:
+) -> ScenarioOutcome:
     system, workload, txns, crashed = _run_until_crash(scenario)
     states = model_states(workload, txns)
     last = len(states) - 1
@@ -259,7 +193,7 @@ def _run_scenario_checked(
             violations.append(
                 f"error: second recovery raised {type(exc).__name__}: {exc}"
             )
-    return Outcome(
+    return ScenarioOutcome(
         violations=tuple(violations),
         crashed=crashed,
         matched_boundary=matched,
@@ -293,20 +227,11 @@ def run_seed(task: SweepTask) -> dict:
         checkpoint_threshold=task.checkpoint_threshold,
     )
     profile = profile_scenario(base)
-    runs = crashes = 0
-    failures: list[dict] = []
-    for k in [0, *range(1, profile.total_ops + 1, task.stride)]:
-        scenario = replace(base, crash_point=k)
-        outcome = run_scenario(scenario, profile)
-        runs += 1
-        crashes += int(outcome.crashed)
-        if outcome.violations:
-            failures.append(
-                {
-                    "scenario": scenario_to_dict(scenario),
-                    "violations": list(outcome.violations),
-                }
-            )
+    outcomes, failures = run_sweep(
+        [replace(base, crash_point=k) for k in crash_points(profile, task.stride)],
+        profile,
+        run_scenario,
+    )
     return {
         "workload": task.workload,
         "seed": task.seed,
@@ -314,7 +239,7 @@ def run_seed(task: SweepTask) -> dict:
         "total_ops": profile.total_ops,
         "boundaries": len(profile.bounds) - 1,
         "checkpoints": len(profile.ckpt_events),
-        "runs": runs,
-        "crashes": crashes,
+        "runs": len(outcomes),
+        "crashes": sum(outcome.crashed for outcome in outcomes),
         "failures": failures,
     }

@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro import torture
 from repro.bench.harness import parallel_map
 from repro.replication.chaos import (
     ReplicationTask,
     make_scenario,
+    minimize,
     run_replication_chaos,
     run_task,
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.replication.minimize import minimize
+from repro.service import chaos as service_chaos
 
 
 def small_scenario(seed=0, **kw):
@@ -160,6 +164,21 @@ class TestShrink:
         }
         assert got & target
 
-    def test_minimize_returns_passing_scenario_unchanged(self):
-        scenario = small_scenario()
-        assert minimize(scenario) == scenario
+    @pytest.mark.parametrize(
+        "make,shrink",
+        [
+            (
+                lambda: torture.make_scenario(seed=0, ops=2, scheme="eager"),
+                torture.minimize,
+            ),
+            (
+                lambda: service_chaos.make_scenario(0, sessions=2, txns=6),
+                service_chaos.minimize,
+            ),
+            (small_scenario, minimize),
+        ],
+        ids=["torture", "service", "replication"],
+    )
+    def test_minimize_returns_passing_scenario_unchanged(self, make, shrink):
+        scenario = make()
+        assert shrink(scenario) == scenario

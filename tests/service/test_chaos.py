@@ -11,13 +11,13 @@ from repro.bench.harness import parallel_map
 from repro.service.chaos import (
     ChaosTask,
     make_scenario,
+    minimize,
     run_chaos,
     run_task,
     scenario_from_dict,
     scenario_to_dict,
     _Driver,
 )
-from repro.service.minimize import minimize
 
 
 def small_task(seed, **kwargs):

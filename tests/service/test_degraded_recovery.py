@@ -18,8 +18,8 @@ from repro import System, tuna
 from repro.errors import PowerFailure
 from repro.faults import MediaFaultSpec, NvramFaultInjector
 from repro.service.server import READ_ONLY, DatabaseService, ServiceConfig
-from repro.torture.driver import ROTATION, SCHEMES
 from repro.torture.workload import TABLE
+from repro.wal.nvwal import ROTATION, SCHEMES
 from tests.conftest import make_nvwal_db
 
 DB_NAME = "degraded.db"

@@ -24,8 +24,7 @@ import pytest
 from repro.config import tuna
 from repro.db.index import IndexTree
 from repro.system import System
-from repro.torture.driver import SCHEMES
-from repro.wal.nvwal import NvwalBackend
+from repro.wal.nvwal import SCHEMES, NvwalBackend
 from repro.db.database import Database
 from repro.errors import PowerFailure
 from repro.workloads.runner import make_workload

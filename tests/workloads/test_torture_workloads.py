@@ -7,6 +7,7 @@ tests run the deep per-scheme matrices (select with
 
 import pytest
 
+from repro.harness.codec import scenario_to_dict
 from repro.workloads.torture import (
     SweepTask,
     WorkloadScenario,
@@ -14,7 +15,6 @@ from repro.workloads.torture import (
     run_scenario,
     run_seed,
     scenario_from_dict,
-    scenario_to_dict,
 )
 
 
