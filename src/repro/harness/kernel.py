@@ -15,7 +15,8 @@ callables; this module does the rest, the same way for all of them:
   under ``--sabotage`` the planted bug *must* be found, minimized and
   replayed deterministically (exit 0), else exit 1;
 * :func:`replay` reruns a recorded trace twice and exits 1 on a
-  deterministic failure, 0 on a pass.
+  deterministic failure, 0 on a pass, and 2 on a trace the harness
+  refuses to load.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,9 +153,15 @@ def _run_twice(harness: Harness, scenario):
 
 def replay(harness: Harness, path: str) -> int:
     """Rerun one recorded trace twice: 1 if it fails deterministically
-    (or nondeterministically — a harness bug), 0 if it passes."""
+    (or nondeterministically — a harness bug), 0 if it passes, 2 if the
+    harness refuses the trace (the one-line reason goes to stderr)."""
     with open(path, encoding="utf-8") as fh:
-        scenario = harness.load(json.load(fh))
+        trace = json.load(fh)
+    try:
+        scenario = harness.load(trace)
+    except ValueError as exc:
+        print(f"cannot replay {path}: {exc}", file=sys.stderr)
+        return 2
     first, deterministic = _run_twice(harness, scenario)
     print(f"replaying {path}: {harness.describe(scenario)}")
     for violation in first:

@@ -26,14 +26,13 @@ truncates the model to the promotion watermark; released epochs above
 it are checked against the ack records (who held them durable) before
 being declared legitimately lost.
 
-With the segment archive enabled (the default), the same storms also
-exercise the cold store: sealed epochs spill to ext4 segment files,
-power cuts land mid-archive-write, GC races slow followers, and
-post-failover catch-up reseeds from disk.  Two archive-specific oracles
-ride along: every GC'd epoch must be at or below ``min(live fleet's
-durable cursor, checkpoint floor)`` (``gc-premature`` otherwise), and a
-caught-up follower's pages must be *byte-identical* to the primary's —
-reseed-from-disk is held to the same standard as live snapshot reseed.
+The same storms also exercise the segment archive (the cold store):
+sealed epochs spill to ext4 segment files, power cuts land
+mid-archive-write, GC races slow followers, and post-failover catch-up
+reseeds from disk.  Two archive-specific oracles ride along: every GC'd
+epoch must be at or below ``min(live fleet's durable cursor, checkpoint
+floor)`` (``gc-premature`` otherwise), and a caught-up follower's pages
+must be *byte-identical* to the primary's, however it was reseeded.
 
 ``sabotage`` plants a planted-bug self-test the oracle must catch:
 ``"torn"`` — followers skip segment verification and the primary ships
@@ -95,8 +94,6 @@ class ReplicationScenario:
     #: (GC-past-durable-cursor bug in the archive trim).
     sabotage: str = ""
     read_interval_ns: int = 600_000
-    #: The ext4 cold store; False runs the legacy memory-resident mode.
-    archive: bool = True
     #: Aggressive cadences (vs the production defaults) so short storms
     #: still roll files, advance the floor, and GC.
     archive_epochs_per_file: int = 4
@@ -165,7 +162,6 @@ def make_scenario(
     follower_kills: int = 0,
     sabotage="",
     group_commit: bool = True,
-    archive: bool = True,
 ) -> ReplicationScenario:
     """Build a scenario; kill times are placed by a clean profiling run.
 
@@ -185,7 +181,6 @@ def make_scenario(
         plan=build_ship_plan(seed, faults),
         sabotage=_sabotage_kind(sabotage),
         group_commit=group_commit,
-        archive=archive,
     )
     if not writer_kill and follower_kills <= 0:
         return scenario
@@ -314,7 +309,7 @@ class _Driver:
             if f.alive and f.role == "follower"
         ]
         min_cursor = min((f.durable_seq for f in live), default=None)
-        floor = self.cluster.archive.floor if self.cluster.archive else None
+        floor = self.cluster.archive.floor
         worst = max(deleted_seqs)
         if min_cursor is not None and worst > min_cursor:
             self.violations.append(
@@ -581,9 +576,8 @@ class _Driver:
                 )
                 continue
             # Byte-identity: however this follower got here — live
-            # entries, archived epochs, floor snapshot + roll-forward,
-            # or a legacy live snapshot — its pages must equal the
-            # primary's bit for bit.
+            # entries, archived epochs, or floor snapshot + roll-forward
+            # — its pages must equal the primary's bit for bit.
             primary_pager = self.cluster.db.pager
             pager = node.db.pager
             if pager.n_pages != primary_pager.n_pages:
@@ -618,7 +612,6 @@ class _Driver:
                 checkpoint_threshold=sc.checkpoint_threshold,
                 lenient_followers=sc.sabotage == "torn",
                 sabotage_seq=2 if sc.sabotage == "torn" else 0,
-                archive=sc.archive,
                 archive_epochs_per_file=sc.archive_epochs_per_file,
                 archive_snapshot_every=sc.archive_snapshot_every,
                 archive_gc_every=sc.archive_gc_every,
@@ -750,15 +743,10 @@ class _Driver:
 
     def _archive_summary(self) -> dict | None:
         cluster = self.cluster
-        if cluster is None or cluster.archive is None:
+        if cluster is None:
             return None
         archive = cluster.archive
-        from_archive, from_snapshot = cluster.reseed_counts()
-        injector = (
-            cluster.archive_device.fault_injector
-            if cluster.archive_device is not None
-            else None
-        )
+        injector = cluster.archive_device.fault_injector
         return {
             "files": archive.files_count,
             "bytes": archive.bytes_total,
@@ -772,8 +760,7 @@ class _Driver:
             "floor_fallbacks": archive.floor_fallbacks,
             "floor_advances": self.floor_advances,
             "io_faults": injector.injected if injector is not None else 0,
-            "reseeds_from_archive": from_archive,
-            "reseeds_from_snapshot": from_snapshot,
+            "reseeds_from_archive": cluster.reseed_counts(),
             "peak_log_entries": cluster.log_peak(),
         }
 
@@ -839,12 +826,10 @@ def run_replication_chaos(scenario: ReplicationScenario) -> Outcome:
 
 #: Shrink passes, in order: structural simplifications first (channel
 #: faults, the follower kill script, the writer kill, extra followers,
-#: group commit; the cold store last — a gc-sabotage failure needs it
-#: and keeps it, a channel-level failure sheds it), then fewer follower
-#: kills, then the session workload.  A conditional candidate that falls
-#: back to the pass-start scenario re-accepts it when an earlier
-#: candidate was taken; that order is what the recorded minimized traces
-#: were shrunk with.
+#: group commit), then fewer follower kills, then the session workload.
+#: A conditional candidate that falls back to the pass-start scenario
+#: re-accepts it when an earlier candidate was taken; that order is what
+#: the recorded minimized traces were shrunk with.
 MINIMIZE_PASSES = (
     try_each(
         lambda s: (
@@ -855,7 +840,6 @@ MINIMIZE_PASSES = (
             if s.followers > 1 and not s.follower_kills
             else s,
             replace(s, group_commit=False),
-            replace(s, archive=False) if s.archive else s,
         )
     ),
     shrink_each("follower_kills", min_size=1),
@@ -875,9 +859,18 @@ def minimize(scenario: ReplicationScenario) -> ReplicationScenario:
 
 
 def scenario_from_dict(data: dict) -> ReplicationScenario:
-    # Traces recorded before the cold store existed replay in the mode
-    # they ran in: archive off.  Legacy boolean sabotage maps to "torn".
-    scenario = load_scenario(ReplicationScenario, data, archive=False)
+    # Traces that ran without the cold store — marked ``"archive":
+    # false``, or recorded before it existed (no ``archive_*`` field) —
+    # ran a protocol that is gone and cannot be replayed faithfully.
+    # Legacy boolean sabotage maps to "torn".
+    if data.get("archive") is False or not any(
+        key.startswith("archive_") for key in data
+    ):
+        raise ValueError(
+            "trace was recorded in the retired memory-resident replication "
+            "mode (no segment archive); it cannot be replayed"
+        )
+    scenario = load_scenario(ReplicationScenario, data)
     return replace(scenario, sabotage=_sabotage_kind(scenario.sabotage))
 
 
@@ -902,7 +895,6 @@ class ReplicationTask:
     follower_kills: int = 0
     sabotage: str = ""
     group_commit: bool = True
-    archive: bool = True
 
 
 def run_task(task: ReplicationTask) -> dict:
@@ -920,7 +912,6 @@ def run_task(task: ReplicationTask) -> dict:
         follower_kills=task.follower_kills,
         sabotage=task.sabotage,
         group_commit=task.group_commit,
-        archive=task.archive,
     )
     outcome = run_replication_chaos(scenario)
     return {**outcome.summary, "scenario": scenario_to_dict(scenario)}

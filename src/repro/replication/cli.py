@@ -125,12 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ship per-transaction instead of per group-commit epoch",
     )
     parser.add_argument(
-        "--no-archive",
-        action="store_true",
-        help="disable the ext4 cold store: keep every sealed epoch in "
-        "memory and reseed followers from live snapshot segments",
-    )
-    parser.add_argument(
         "--sabotage",
         nargs="?",
         const="torn",
@@ -166,7 +160,6 @@ def main(argv=None) -> int:
             follower_kills=args.follower_kills,
             sabotage=args.sabotage,
             group_commit=not args.no_group_commit,
-            archive=not args.no_archive,
         )
         for seed in range(args.seeds)
     ]
@@ -176,8 +169,7 @@ def main(argv=None) -> int:
         f"mode={args.mode}, followers={args.followers}, "
         f"faults={','.join(faults) if faults else 'none'}, "
         f"writer_kill={'yes' if args.writer_kill else 'no'}, "
-        f"follower_kills={args.follower_kills}, "
-        f"archive={'no' if args.no_archive else 'yes'}, jobs={args.jobs}"
+        f"follower_kills={args.follower_kills}, jobs={args.jobs}"
         + (f", SABOTAGE({args.sabotage})" if args.sabotage else "")
     )
     results = parallel_map(run_task, tasks, jobs=args.jobs)

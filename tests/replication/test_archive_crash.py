@@ -14,6 +14,7 @@ from repro.replication.segment import Segment, encode_segment
 from repro.storage.blockdev import BlockDevice
 from repro.storage.ext4 import Ext4FileSystem
 from repro.wal.frames import NvFrame
+from repro.wal.nvwal import SCHEMES
 
 _STEP_NS = 200_000
 
@@ -124,8 +125,7 @@ def _pump(cluster, ticks=200):
     for _ in range(ticks):
         cluster.clock.advance(_STEP_NS)
         cluster.replicator.tick()
-        if cluster.archive is not None:
-            cluster.replicator._archive_work()
+        cluster.replicator._archive_work()
 
 
 def _insert(cluster, k):
@@ -133,13 +133,12 @@ def _insert(cluster, k):
     cluster.shiplog.seal(())
 
 
-def _run_failover_script(archive: bool, scheme: str) -> Cluster:
+def _run_failover_script(scheme: str) -> Cluster:
     cluster = Cluster(
         ReplicationConfig(
             followers=2,
             mode="semisync",
             scheme=scheme,
-            archive=archive,
             archive_epochs_per_file=2,
             archive_snapshot_every=4,
             archive_gc_every=2,
@@ -165,42 +164,26 @@ def _run_failover_script(archive: bool, scheme: str) -> Cluster:
     return cluster
 
 
-def _follower_pages(cluster):
-    pages = {}
-    for node in cluster.followers:
-        if node.role != "follower":
-            continue
-        pager = node.db.pager
-        pages[node.node_id] = [
-            bytes(pager.page_image(pno))
-            for pno in range(1, pager.n_pages + 1)
-        ]
-    return pages
+def _pages(db):
+    pager = db.pager
+    return [bytes(pager.page_image(pno)) for pno in range(1, pager.n_pages + 1)]
 
 
-@pytest.mark.parametrize("scheme", ["eager", "uh_ls_diff", "uh_cs_diff"])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
 class TestReseedIdentity:
-    def test_disk_reseed_matches_snapshot_reseed_bytes(self, scheme):
-        """The archived-chain reseed and the legacy live-snapshot reseed
-        must produce byte-identical follower state."""
-        disk = _run_failover_script(archive=True, scheme=scheme)
-        live = _run_failover_script(archive=False, scheme=scheme)
+    def test_disk_reseed_matches_primary_byte_for_byte(self, scheme):
+        """Followers reseeded from the archive (floor snapshot plus
+        archived epochs) end byte-identical to the promoted primary."""
+        cluster = _run_failover_script(scheme)
+        assert cluster.reseed_counts() > 0
         want = sorted((k, f"v{k}") for k in range(13))
-        for cluster in (disk, live):
-            assert sorted(cluster.db.dump_table(TABLE)) == want
-            for node in cluster.followers:
-                if node.role == "follower":
-                    assert node.durable_seq == cluster.head_seq
-        disk_pages = _follower_pages(disk)
-        live_pages = _follower_pages(live)
-        assert disk_pages.keys() == live_pages.keys()
-        for node_id in disk_pages:
-            assert disk_pages[node_id] == live_pages[node_id]
-        # The disk cluster really reseeded from the archive; the live
-        # cluster really used a snapshot segment.
-        assert disk.reseed_counts()[0] > 0
-        assert live.reseed_counts() == (0, live.reseed_counts()[1])
-        assert live.reseed_counts()[1] > 0
+        assert sorted(cluster.db.dump_table(TABLE)) == want
+        primary_pages = _pages(cluster.db)
+        followers = [n for n in cluster.followers if n.role == "follower"]
+        assert followers
+        for node in followers:
+            assert node.durable_seq == cluster.head_seq
+            assert _pages(node.db) == primary_pages
 
 
 class _Ticket:

@@ -17,6 +17,7 @@ from repro.replication.chaos import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.replication.cli import main as replication_main
 from repro.service import chaos as service_chaos
 
 
@@ -87,13 +88,7 @@ class TestArchive:
         archive = outcome.summary["archive"]
         assert archive is not None
         assert archive["head"] > 0
-        assert archive["reseeds_from_snapshot"] == 0  # disk serves reseeds
         assert archive["peak_log_entries"] > 0
-
-    def test_archive_off_matches_legacy_summary(self):
-        outcome = run_replication_chaos(small_scenario(archive=False))
-        assert outcome.violations == ()
-        assert outcome.summary["archive"] is None
 
     def test_archive_io_faults_are_absorbed(self):
         outcome = run_replication_chaos(
@@ -102,13 +97,35 @@ class TestArchive:
         assert outcome.violations == ()
         assert outcome.summary["archive"]["io_faults"] > 0
 
-    def test_pre_archive_trace_replays_archive_off(self):
-        scenario = small_scenario()
-        data = scenario_to_dict(scenario)
+    def test_archive_off_trace_is_refused(self):
+        data = scenario_to_dict(small_scenario())
+        data["archive"] = False  # recorded in the retired mode
+        with pytest.raises(ValueError, match="retired memory-resident"):
+            scenario_from_dict(data)
+
+    def test_pre_archive_trace_is_refused(self):
+        data = scenario_to_dict(small_scenario())
         for key in list(data):
             if key.startswith("archive"):
                 del data[key]  # a trace recorded before the cold store
-        assert scenario_from_dict(data).archive is False
+        with pytest.raises(ValueError, match="retired memory-resident"):
+            scenario_from_dict(data)
+
+    def test_archive_on_trace_loads_unchanged(self):
+        scenario = small_scenario()
+        data = scenario_to_dict(scenario)
+        data["archive"] = True  # recorded while the mode was selectable
+        assert scenario_from_dict(data) == scenario
+
+    def test_replay_of_archive_off_trace_exits_nonzero(self, tmp_path, capsys):
+        data = scenario_to_dict(small_scenario())
+        data["archive"] = False
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps({"scenario": data, "violations": []}))
+        assert replication_main(["--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "retired memory-resident replication mode" in err
 
 
 class TestSabotage:
@@ -133,9 +150,6 @@ class TestSabotage:
         second = run_replication_chaos(small)
         assert first.violations and first.violations == second.violations
         assert any(v.startswith("gc-premature") for v in first.violations)
-        # The planted bug lives in the cold store: shedding the archive
-        # would make the failure vanish, so the minimizer must keep it.
-        assert small.archive
 
     def test_sabotage_violation_minimizes_and_replays(self):
         scenario = small_scenario(sabotage=True)
