@@ -15,23 +15,22 @@ and promises on top of it, per durability mode:
 Every cell runs the full replication-consistency oracle under channel
 storms (drop/duplicate/reorder/corrupt) with a scripted writer kill —
 a nonzero violation count fails the experiment.  ``run()`` snapshots
-the results to ``BENCH_replication.json`` so future PRs can track the
+the results to ``BENCH_replication.json`` (quick runs:
+``BENCH_replication.quick.json``) so future PRs can track the
 replication probes.
 """
 
 from __future__ import annotations
 
-import json
+from functools import partial
 
 from repro.bench.harness import parallel_map
-from repro.bench.report import Report, Table
-from repro.replication.chaos import ReplicationTask, run_task
+from repro.bench.report import Report, Table, write_snapshot
+from repro.replication.chaos import run_task
 from repro.replication.ship import MODES
 
 SEEDS = (0, 1, 2, 3)
 QUICK_SEEDS = (0, 1)
-
-OUT_FILE = "BENCH_replication.json"
 
 
 def _aggregate(results) -> dict:
@@ -88,19 +87,16 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
     rows = []
     snapshot = {}
     for mode in MODES:
-        tasks = [
-            ReplicationTask(
-                seed=seed,
-                sessions=sessions,
-                txns=txns,
-                scheme="uh_ls_diff",
-                mode=mode,
-                writer_kill=True,
-                follower_kills=1,
-            )
-            for seed in seeds
-        ]
-        agg = _aggregate(parallel_map(run_task, tasks, jobs=jobs))
+        task = partial(
+            run_task,
+            sessions=sessions,
+            txns=txns,
+            scheme="uh_ls_diff",
+            mode=mode,
+            writer_kill=True,
+            follower_kills=1,
+        )
+        agg = _aggregate(parallel_map(task, seeds, jobs=jobs))
         snapshot[mode] = agg
         rows.append([
             mode, agg["acked"], agg["promotions"], agg["ship_faults"],
@@ -110,19 +106,14 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             agg["archive_gc_segments"], agg["peak_log_entries"],
             agg["violations"],
         ])
-    with open(OUT_FILE, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "experiment": "replication",
-                "quick": quick,
-                "seeds": list(seeds),
-                "sessions": sessions,
-                "txns_per_seed": txns,
-                "modes": snapshot,
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    path = write_snapshot("replication", quick, {
+        "experiment": "replication",
+        "quick": quick,
+        "seeds": list(seeds),
+        "sessions": sessions,
+        "txns_per_seed": txns,
+        "modes": snapshot,
+    })
     return Report(
         "replication",
         "Log-shipping replication lag and failover time per durability mode",
@@ -143,6 +134,6 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             "replication oracle must report 0 violations.",
             "Reseeds (disk): follower resets served from the archive's",
             "floor snapshot plus archived segment files.",
-            f"Snapshot written to {OUT_FILE}.",
+            f"Snapshot written to {path}.",
         ],
     )

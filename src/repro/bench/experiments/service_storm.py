@@ -11,17 +11,18 @@ the seed list, and the oracle runs in every cell — a nonzero violation
 count fails the experiment.
 
 ``run()`` also snapshots the results to ``BENCH_service.json`` (like
-``BENCH_simulator.json``, a committed trajectory file) so future PRs can
-track service-level throughput.
+``BENCH_simulator.json``, a committed trajectory file; quick runs write
+``BENCH_service.quick.json``) so future PRs can track service-level
+throughput.
 """
 
 from __future__ import annotations
 
-import json
+from functools import partial
 
 from repro.bench.harness import parallel_map
-from repro.bench.report import Report, Table
-from repro.service.chaos import ChaosTask, run_task
+from repro.bench.report import Report, Table, write_snapshot
+from repro.service.chaos import run_task
 from repro.telemetry.metrics import Histogram
 
 SEEDS = (0, 1, 2, 3)
@@ -34,8 +35,6 @@ CONFIGS = (
     ("media storms", ("power", "media"), 2, 1),
     ("full storm", ("power", "media", "io"), 2, 1),
 )
-
-OUT_FILE = "BENCH_service.json"
 
 
 def _merge_metrics(results) -> dict:
@@ -102,33 +101,25 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
     rows = []
     snapshot = {}
     for label, faults, storms, cycles in CONFIGS:
-        tasks = [
-            ChaosTask(
-                seed=seed, sessions=sessions, txns=txns, scheme="uh_ls_diff",
-                faults=faults, storms=storms, power_cycles=cycles,
-            )
-            for seed in seeds
-        ]
-        agg = _aggregate(parallel_map(run_task, tasks, jobs=jobs))
+        task = partial(
+            run_task, sessions=sessions, txns=txns, scheme="uh_ls_diff",
+            faults=faults, storms=storms, power_cycles=cycles,
+        )
+        agg = _aggregate(parallel_map(task, seeds, jobs=jobs))
         snapshot[label] = agg
         rows.append([
             label, agg["txns_per_sec"], agg["acked"], agg["crashes"],
             agg["busy_waits"], agg["deadline_misses"],
             agg["demotions"], agg["promotions"], agg["violations"],
         ])
-    with open(OUT_FILE, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "experiment": "service_storm",
-                "quick": quick,
-                "seeds": list(seeds),
-                "sessions": sessions,
-                "txns_per_seed": txns,
-                "configs": snapshot,
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    path = write_snapshot("service", quick, {
+        "experiment": "service_storm",
+        "quick": quick,
+        "seeds": list(seeds),
+        "sessions": sessions,
+        "txns_per_seed": txns,
+        "configs": snapshot,
+    })
     return Report(
         "service_storm",
         "Concurrent service throughput under fault storms",
@@ -144,6 +135,6 @@ def run(quick: bool = False, jobs: int = 1) -> Report:
             f"{txns} txns/seed, NVWAL UH+LS+Diff.",
             "Violations must be 0: the chaos oracle (ack durability,",
             "read freshness, liveness) runs inside every cell.",
-            f"Snapshot written to {OUT_FILE}.",
+            f"Snapshot written to {path}.",
         ],
     )

@@ -131,8 +131,9 @@ def default_jobs() -> int:
 
 
 def parallel_map(fn: Callable, items: Sequence | Iterable, jobs: int = 1) -> list:
-    """Apply a picklable, module-level ``fn`` to every item, ``jobs`` at a
-    time, results in input order.
+    """Apply a picklable ``fn`` (a module-level function, or a
+    ``functools.partial`` over one) to every item, ``jobs`` at a time,
+    results in input order.
 
     ``jobs <= 1`` runs inline (no subprocess overhead, easier debugging);
     anything higher fans out over a process pool.  Callers guarantee ``fn``

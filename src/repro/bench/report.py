@@ -2,11 +2,12 @@
 
 Every experiment returns a :class:`Report`: a title, commentary lines, and
 one or more tables.  The `__main__` CLI prints them; EXPERIMENTS.md embeds
-them.
+them.  :func:`write_snapshot` writes an experiment's JSON trajectory file.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 
@@ -65,3 +66,17 @@ def _fmt(value: object) -> str:
             return f"{value:.1f}"
         return f"{value:.3f}"
     return str(value)
+
+
+def write_snapshot(name: str, quick: bool, doc: dict) -> str:
+    """Write ``doc`` as the experiment's JSON snapshot; returns the path.
+
+    A full run writes the tracked trajectory file ``BENCH_<name>.json``;
+    a ``quick`` run writes the untracked sibling ``BENCH_<name>.quick.json``,
+    so a smoke run never replaces the committed numbers.
+    """
+    path = f"BENCH_{name}.quick.json" if quick else f"BENCH_{name}.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path

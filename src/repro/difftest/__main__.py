@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 from repro.bench.harness import parallel_map
 from repro.difftest.grammar import (
@@ -46,18 +47,6 @@ _SABOTAGE_MAX_STMTS = 5
 
 
 @dataclass(frozen=True)
-class DiffTask:
-    """One seed's work unit (picklable for the process pool)."""
-
-    seed: int
-    stmts: int
-    tables: int
-    checkpoint_threshold: int
-    integrity_every: int
-    sabotage: bool
-
-
-@dataclass(frozen=True)
 class Repro:
     """A statement stream plus the run settings it was recorded under."""
 
@@ -68,16 +57,11 @@ class Repro:
     integrity_every: int
 
 
-def _repro(task: DiffTask) -> Repro:
-    """The seed's generated stream under the task's run settings."""
-    stmts = StreamGenerator(task.seed, max_tables=task.tables).stream(task.stmts)
-    return Repro(
-        seed=task.seed,
-        stmts=tuple(stmts),
-        sabotage=task.sabotage,
-        checkpoint_threshold=task.checkpoint_threshold,
-        integrity_every=task.integrity_every,
-    )
+def _repro(seed: int, *, stmts: int, tables: int, **settings) -> Repro:
+    """The seed's generated stream under the sweep's run ``settings``
+    (``sabotage``, ``checkpoint_threshold``, ``integrity_every``)."""
+    stream = StreamGenerator(seed, max_tables=tables).stream(stmts)
+    return Repro(seed=seed, stmts=tuple(stream), **settings)
 
 
 def _findings(repro: Repro):
@@ -89,11 +73,13 @@ def _findings(repro: Repro):
     )
 
 
-def run_diff_seed(task: DiffTask) -> dict:
-    """Generate and run one seed's stream; JSON-safe result for digests."""
-    repro = _repro(task)
+def run_diff_seed(seed: int, **params) -> dict:
+    """Generate and run one seed's stream; JSON-safe result for digests.
+    ``params`` are :func:`_repro`'s keywords; bind them with
+    ``functools.partial`` (the partial pickles for ``parallel_map``)."""
+    repro = _repro(seed, **params)
     return {
-        "seed": task.seed,
+        "seed": seed,
         "statements": len(repro.stmts),
         "findings": [asdict(f) for f in _findings(repro)],
     }
@@ -199,30 +185,30 @@ def main(argv=None) -> int:
     harness = _harness(args)
     if args.replay:
         return replay(harness, args.replay)
-    tasks = [
-        DiffTask(
-            seed=seed,
-            stmts=args.stmts,
-            tables=args.tables,
-            checkpoint_threshold=args.checkpoint_threshold,
-            integrity_every=args.integrity_every,
-            sabotage=args.sabotage,
-        )
-        for seed in range(args.seeds)
-    ]
+    params = dict(
+        stmts=args.stmts,
+        tables=args.tables,
+        checkpoint_threshold=args.checkpoint_threshold,
+        integrity_every=args.integrity_every,
+        sabotage=args.sabotage,
+    )
     print(
         f"difftest: {args.seeds} seed(s) x {args.stmts} statements, "
         f"4 executors (sqlite + {3} repro backends), jobs={args.jobs}"
         + (", SABOTAGE" if args.sabotage else "")
     )
-    results = parallel_map(run_diff_seed, tasks, jobs=args.jobs)
+    results = parallel_map(
+        partial(run_diff_seed, **params), range(args.seeds), jobs=args.jobs
+    )
     failures: list[dict] = []
     total_stmts = 0
-    for task, result in zip(tasks, results):
+    for result in results:
         total_stmts += result["statements"]
         n = len(result["findings"])
         if n:
-            failures.append(_record(_repro(task), result["findings"]))
+            failures.append(
+                _record(_repro(result["seed"], **params), result["findings"])
+            )
         print(f"seed {result['seed']}: {result['statements']} statement(s), "
               f"{n} finding(s)")
         for finding in result["findings"][:4]:

@@ -1,7 +1,8 @@
 """The CLI plumbing every adversarial harness shares.
 
-A harness contributes a driver (seed task -> JSON-able result, swept
-over :func:`repro.bench.harness.parallel_map`), an oracle (scenario ->
+A harness contributes a driver (seed -> JSON-able result, its fixed
+keywords bound with ``functools.partial`` and swept over
+:func:`repro.bench.harness.parallel_map`), an oracle (scenario ->
 outcome with ``.violations``) and a :class:`Harness` record of
 callables; this module does the rest, the same way for all of them:
 

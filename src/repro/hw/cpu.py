@@ -23,7 +23,6 @@ than lazy synchronization (batched flushes, one barrier, Figure 4c).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.config import SystemConfig
@@ -329,11 +328,6 @@ class Cpu:
         self.clock.advance(ns)
         self.stats.add_time(bucket, ns)
 
-    def syscall_overhead(self) -> None:
-        """Charge one kernel-mode switch (for non-flush syscalls)."""
-        self.clock.advance(self.config.cache.syscall_ns)
-        self.stats.add_time(TimeBucket.SYSCALL, self.config.cache.syscall_ns)
-
     # ------------------------------------------------------------------
     # crash support
     # ------------------------------------------------------------------
@@ -348,8 +342,3 @@ class Cpu:
         self.pending.clear()
         self._pipeline_last_completion = 0.0
         self._pending_max_completion = 0.0
-
-
-def make_rng(seed: int | None) -> random.Random:
-    """Seeded RNG factory shared by crash machinery and workloads."""
-    return random.Random(seed)

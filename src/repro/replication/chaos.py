@@ -156,15 +156,15 @@ def make_scenario(
     txn_size: int = 3,
     scheme: str = "uh_ls_diff",
     mode: str = "semisync",
-    followers: int = 2,
     faults=("drop", "dup", "reorder", "corrupt", "archive"),
     writer_kill: bool = False,
     follower_kills: int = 0,
-    sabotage="",
-    group_commit: bool = True,
+    **fields,
 ) -> ReplicationScenario:
     """Build a scenario; kill times are placed by a clean profiling run.
 
+    ``fields`` are :class:`ReplicationScenario` fields (``followers``,
+    ``sabotage``, ``group_commit``, ...) and default as declared there.
     The scenario is first run without any kills to measure its simulated
     duration, and the writer/follower kill times are placed at seeded
     fractions of it — deterministic, and dense enough across seeds to
@@ -177,11 +177,11 @@ def make_scenario(
         scheme=scheme,
         mode=mode,
         streams=session_streams(seed, sessions, txns, txn_size),
-        followers=followers,
         plan=build_ship_plan(seed, faults),
-        sabotage=_sabotage_kind(sabotage),
-        group_commit=group_commit,
+        **fields,
     )
+    scenario = replace(scenario, sabotage=_sabotage_kind(scenario.sabotage))
+    followers = scenario.followers
     if not writer_kill and follower_kills <= 0:
         return scenario
     duration = _measure_duration(scenario)
@@ -875,43 +875,23 @@ def scenario_from_dict(data: dict) -> ReplicationScenario:
 
 
 # ----------------------------------------------------------------------
-# parallel sweep tasks
+# per-seed entry (bind the sweep's fixed keywords with functools.partial;
+# the partial pickles for parallel_map)
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReplicationTask:
-    """Picklable work item for one chaos run (parallel_map-able)."""
+def run_task(seed: int, *, scheme: str, mode: str, **params) -> dict:
+    """Run one seed; result is the summary plus the scenario trace.
 
-    seed: int
-    sessions: int = 4
-    txns: int = 36
-    txn_size: int = 3
-    scheme: str = "rotate"
-    mode: str = "rotate"
-    followers: int = 2
-    faults: tuple = ("drop", "dup", "reorder", "corrupt", "archive")
-    writer_kill: bool = False
-    follower_kills: int = 0
-    sabotage: str = ""
-    group_commit: bool = True
-
-
-def run_task(task: ReplicationTask) -> dict:
-    """Run one task; result is the summary plus the scenario trace."""
+    ``scheme`` and ``mode`` may be 'rotate' (the seed picks from
+    ``ROTATION`` / ``MODE_ROTATION``); the other keywords are
+    :func:`make_scenario`'s.
+    """
     scenario = make_scenario(
-        task.seed,
-        sessions=task.sessions,
-        txns=task.txns,
-        txn_size=task.txn_size,
-        scheme=rotate(task.scheme, ROTATION, task.seed),
-        mode=rotate(task.mode, MODE_ROTATION, task.seed),
-        followers=task.followers,
-        faults=task.faults,
-        writer_kill=task.writer_kill,
-        follower_kills=task.follower_kills,
-        sabotage=task.sabotage,
-        group_commit=task.group_commit,
+        seed,
+        scheme=rotate(scheme, ROTATION, seed),
+        mode=rotate(mode, MODE_ROTATION, seed),
+        **params,
     )
     outcome = run_replication_chaos(scenario)
     return {**outcome.summary, "scenario": scenario_to_dict(scenario)}

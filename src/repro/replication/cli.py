@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from repro.bench.harness import parallel_map
 from repro.harness.kernel import (
@@ -38,7 +39,6 @@ from repro.harness.streams import stream_sizes
 from repro.replication.chaos import (
     MODE_ROTATION,
     ROTATION,
-    ReplicationTask,
     minimize,
     run_replication_chaos,
     run_task,
@@ -146,23 +146,6 @@ def main(argv=None) -> int:
         return replay(harness, args.replay)
     raw = {f.strip() for f in args.faults.split(",") if f.strip()}
     faults = tuple(sorted(raw - {"none"}))
-    tasks = [
-        ReplicationTask(
-            seed=seed,
-            sessions=args.sessions,
-            txns=args.txns,
-            txn_size=args.txn_size,
-            scheme=args.scheme,
-            mode=args.mode,
-            followers=args.followers,
-            faults=faults,
-            writer_kill=args.writer_kill,
-            follower_kills=args.follower_kills,
-            sabotage=args.sabotage,
-            group_commit=not args.no_group_commit,
-        )
-        for seed in range(args.seeds)
-    ]
     print(
         f"replication chaos: {args.seeds} seed(s) x {args.sessions} "
         f"session(s) x {args.txns} txns, scheme={args.scheme}, "
@@ -172,7 +155,21 @@ def main(argv=None) -> int:
         f"follower_kills={args.follower_kills}, jobs={args.jobs}"
         + (f", SABOTAGE({args.sabotage})" if args.sabotage else "")
     )
-    results = parallel_map(run_task, tasks, jobs=args.jobs)
+    task = partial(
+        run_task,
+        sessions=args.sessions,
+        txns=args.txns,
+        txn_size=args.txn_size,
+        scheme=args.scheme,
+        mode=args.mode,
+        followers=args.followers,
+        faults=faults,
+        writer_kill=args.writer_kill,
+        follower_kills=args.follower_kills,
+        sabotage=args.sabotage,
+        group_commit=not args.no_group_commit,
+    )
+    results = parallel_map(task, range(args.seeds), jobs=args.jobs)
     failures: list[dict] = []
     acked = promotions = 0
     for result in results:

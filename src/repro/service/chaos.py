@@ -144,33 +144,31 @@ def make_scenario(
     txn_size: int = 3,
     scheme: str = "uh_ls_diff",
     faults=("power",),
-    storms: int = 0,
     power_cycles: int = 0,
-    checkpoint_threshold: int = DEFAULT_CHAOS_THRESHOLD,
-    sabotage: bool = False,
-    group_commit: bool = False,
-    workload: str = "mobi",
+    **fields,
 ) -> ChaosScenario:
     """Build a scenario; crash points are placed by profiling.
 
-    ``txns`` is the total across all sessions.  When ``power_cycles`` is
-    positive, the scenario is first run uncrashed (same seed, same
-    storms) to measure its primitive-op count, and the cycles are placed
-    at seeded fractions of it — deterministic, and dense enough across
-    seeds to land inside commit windows.
+    ``txns`` is the total across all sessions; ``fields`` are
+    :class:`ChaosScenario` fields (``storms``, ``workload``,
+    ``group_commit``, ...) and default as declared there.  When
+    ``power_cycles`` is positive, the scenario is first run uncrashed
+    (same seed, same storms) to measure its primitive-op count, and the
+    cycles are placed at seeded fractions of it — deterministic, and
+    dense enough across seeds to land inside commit windows.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
     scenario = ChaosScenario(
         seed=seed,
         scheme=scheme,
-        streams=session_streams(seed, sessions, txns, txn_size, workload),
+        streams=(),
         plan=build_fault_plan(seed, faults),
-        storms=storms,
-        checkpoint_threshold=checkpoint_threshold,
-        sabotage=sabotage,
-        group_commit=group_commit,
-        workload=workload,
+        **fields,
+    )
+    scenario = replace(
+        scenario,
+        streams=session_streams(seed, sessions, txns, txn_size, scenario.workload),
     )
     if power_cycles > 0:
         total = _measure_ops(scenario)
@@ -642,43 +640,19 @@ def scenario_from_dict(data: dict) -> ChaosScenario:
 
 
 # ----------------------------------------------------------------------
-# per-seed task (picklable, for parallel_map)
+# per-seed entry (bind the sweep's fixed keywords with functools.partial;
+# the partial pickles for parallel_map)
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChaosTask:
-    """Everything one seed's chaos run needs, in picklable form."""
+def run_task(seed: int, *, scheme: str, **params) -> dict:
+    """Build and run one seed's scenario; JSON-able result for digests.
 
-    seed: int
-    sessions: int = 4
-    txns: int = 40
-    txn_size: int = 3
-    scheme: str = "rotate"
-    faults: tuple = ("power",)
-    storms: int = 0
-    power_cycles: int = 1
-    checkpoint_threshold: int = DEFAULT_CHAOS_THRESHOLD
-    sabotage: bool = False
-    group_commit: bool = False
-    workload: str = "mobi"
-
-
-def run_task(task: ChaosTask) -> dict:
-    """Build and run one seed's scenario; JSON-able result for digests."""
+    ``scheme`` may be 'rotate' (the seed picks from ``ROTATION``); the
+    other keywords are :func:`make_scenario`'s.
+    """
     scenario = make_scenario(
-        task.seed,
-        sessions=task.sessions,
-        txns=task.txns,
-        txn_size=task.txn_size,
-        scheme=rotate(task.scheme, ROTATION, task.seed),
-        faults=task.faults,
-        storms=task.storms,
-        power_cycles=task.power_cycles,
-        checkpoint_threshold=task.checkpoint_threshold,
-        sabotage=task.sabotage,
-        group_commit=task.group_commit,
-        workload=task.workload,
+        seed, scheme=rotate(scheme, ROTATION, seed), **params
     )
     outcome = run_chaos(scenario)
     return {**outcome.summary, "scenario": scenario_to_dict(scenario)}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from repro.bench.harness import parallel_map
 from repro.harness.kernel import (
@@ -32,7 +33,6 @@ from repro.harness.kernel import (
 from repro.harness.streams import STREAM_WORKLOADS, stream_sizes
 from repro.service.chaos import (
     DEFAULT_CHAOS_THRESHOLD,
-    ChaosTask,
     minimize,
     run_chaos,
     run_task,
@@ -136,23 +136,6 @@ def main(argv=None) -> int:
     if args.storms and "media" not in faults:
         print("--storms requires media faults (add --faults media,...)")
         return 2
-    tasks = [
-        ChaosTask(
-            seed=seed,
-            sessions=args.sessions,
-            txns=args.txns,
-            txn_size=args.txn_size,
-            scheme=args.scheme,
-            faults=faults,
-            storms=args.storms,
-            power_cycles=args.power_cycles,
-            checkpoint_threshold=args.checkpoint_threshold,
-            sabotage=args.sabotage,
-            group_commit=args.group_commit,
-            workload=args.workload,
-        )
-        for seed in range(args.seeds)
-    ]
     print(
         f"chaos: {args.seeds} seed(s) x {args.sessions} session(s) x "
         f"{args.txns} txns, workload={args.workload}, scheme={args.scheme}, "
@@ -162,7 +145,21 @@ def main(argv=None) -> int:
         + (", GROUP-COMMIT" if args.group_commit else "")
         + (", SABOTAGE" if args.sabotage else "")
     )
-    results = parallel_map(run_task, tasks, jobs=args.jobs)
+    task = partial(
+        run_task,
+        sessions=args.sessions,
+        txns=args.txns,
+        txn_size=args.txn_size,
+        scheme=args.scheme,
+        faults=faults,
+        storms=args.storms,
+        power_cycles=args.power_cycles,
+        checkpoint_threshold=args.checkpoint_threshold,
+        sabotage=args.sabotage,
+        group_commit=args.group_commit,
+        workload=args.workload,
+    )
+    results = parallel_map(task, range(args.seeds), jobs=args.jobs)
     failures: list[dict] = []
     acked = crashes = 0
     for result in results:

@@ -80,14 +80,3 @@ class BlockTrace:
                 (event.time_ns / 1e9, event.block)
             )
         return out
-
-    def to_csv(self) -> str:
-        """blktrace-style CSV (time_sec, op, block, length, tag) for
-        plotting Figure 8 with external tools."""
-        lines = ["time_sec,op,block,length,tag"]
-        for event in self.events:
-            lines.append(
-                f"{event.time_ns / 1e9:.9f},{event.op},{event.block},"
-                f"{event.length},{event.tag}"
-            )
-        return "\n".join(lines) + "\n"

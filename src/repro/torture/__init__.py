@@ -12,7 +12,6 @@ from repro.harness.crash import Profile, ScenarioOutcome
 from repro.harness.minimize import violation_codes
 from repro.torture.driver import (
     SabotagedNvwalBackend,
-    SeedTask,
     TortureScenario,
     build_fault_plan,
     make_scenario,
@@ -37,7 +36,6 @@ __all__ = [
     "Profile",
     "SabotagedNvwalBackend",
     "ScenarioOutcome",
-    "SeedTask",
     "TABLE",
     "TortureScenario",
     "apply_txn",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from repro.bench.harness import parallel_map
 from repro.harness.kernel import (
@@ -27,17 +28,14 @@ from repro.harness.kernel import (
     conclude,
     harness_parser,
     replay,
-    rotate,
 )
 from repro.torture.driver import (
     DEFAULT_TORTURE_THRESHOLD,
-    SeedTask,
     run_scenario,
     run_seed,
     scenario_from_dict,
 )
 from repro.torture.minimize import minimize
-from repro.wal.nvwal import ROTATION
 
 
 def _summarize(_original, small) -> str:
@@ -120,28 +118,25 @@ def main(argv=None) -> int:
     faults = tuple(
         sorted({f.strip() for f in args.faults.split(",") if f.strip()})
     )
-    tasks = [
-        SeedTask(
-            seed=seed,
-            ops=args.ops,
-            scheme=rotate(args.scheme, ROTATION, seed),
-            faults=faults,
-            txn_size=args.txn_size,
-            stride=args.stride,
-            recovery_points=args.recovery_points,
-            checkpoint_threshold=args.checkpoint_threshold,
-            sabotage=args.sabotage,
-            group_epoch=args.group_epoch,
-        )
-        for seed in range(args.seeds)
-    ]
     print(
         f"torture: {args.seeds} seed(s) x {args.ops} ops, scheme={args.scheme}, "
         f"faults={','.join(faults)}, stride={args.stride}, jobs={args.jobs}"
         + (f", GROUP-EPOCH={args.group_epoch}" if args.group_epoch else "")
         + (", SABOTAGE" if args.sabotage else "")
     )
-    results = parallel_map(run_seed, tasks, jobs=args.jobs)
+    task = partial(
+        run_seed,
+        ops=args.ops,
+        scheme=args.scheme,
+        faults=faults,
+        txn_size=args.txn_size,
+        stride=args.stride,
+        recovery_points=args.recovery_points,
+        checkpoint_threshold=args.checkpoint_threshold,
+        sabotage=args.sabotage,
+        group_epoch=args.group_epoch,
+    )
+    results = parallel_map(task, range(args.seeds), jobs=args.jobs)
     total_runs = 0
     failures: list[dict] = []
     for result in results:

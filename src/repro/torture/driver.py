@@ -43,6 +43,7 @@ from repro.harness.crash import (
     run_sweep,
     run_until_crash,
 )
+from repro.harness.kernel import rotate
 from repro.system import System
 from repro.torture.workload import (
     NO_TABLE,
@@ -54,7 +55,7 @@ from repro.torture.workload import (
 )
 from repro.wal.base import SyncMode
 from repro.wal.frames import commit_mark_bytes
-from repro.wal.nvwal import SCHEMES, NvwalBackend
+from repro.wal.nvwal import ROTATION, SCHEMES, NvwalBackend
 
 #: Small checkpoint threshold (in WAL frames) so a 30-op workload crosses
 #: several checkpoints and the sweep exercises crash-during-checkpoint.
@@ -132,16 +133,11 @@ def build_fault_plan(seed: int, faults) -> FaultPlan | None:
 
 
 def make_scenario(
-    seed: int,
-    ops: int,
-    scheme: str,
-    faults=("power",),
-    txn_size: int = 3,
-    checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD,
-    sabotage: bool = False,
-    group_epoch: int = 0,
+    seed: int, ops: int, scheme: str, faults=("power",), txn_size: int = 3, **fields
 ) -> TortureScenario:
-    """Generate the base (no-crash-point) scenario for a seed."""
+    """Generate the base (no-crash-point) scenario for a seed.  ``fields``
+    are :class:`TortureScenario` fields (``checkpoint_threshold``,
+    ``sabotage``, ``group_epoch``) and default as declared there."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
     return TortureScenario(
@@ -149,9 +145,7 @@ def make_scenario(
         scheme=scheme,
         txns=generate_txns(seed, ops, txn_size),
         plan=build_fault_plan(seed, faults),
-        checkpoint_threshold=checkpoint_threshold,
-        sabotage=sabotage,
-        group_epoch=group_epoch,
+        **fields,
     )
 
 
@@ -417,28 +411,19 @@ def _check_leaks_and_idempotence(
 
 
 # ----------------------------------------------------------------------
-# per-seed sweep (module-level and picklable for parallel_map)
+# per-seed sweep (module-level, so a partial over it pickles)
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedTask:
-    """Everything one seed's sweep needs, in picklable form."""
-
-    seed: int
-    ops: int
-    scheme: str
-    faults: tuple = ("power",)
-    txn_size: int = 3
-    stride: int = 1
-    recovery_points: int = 2
-    checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD
-    sabotage: bool = False
-    group_epoch: int = 0
-
-
-def run_seed(task: SeedTask) -> dict:
+def run_seed(
+    seed: int, *, scheme: str, stride: int, recovery_points: int, **params
+) -> dict:
     """Sweep every crash point for one seed; returns a JSON-able summary.
+
+    ``scheme`` may be 'rotate' (the seed picks from ``ROTATION``); the
+    other keywords are :func:`make_scenario`'s.  Bind the sweep's fixed
+    keywords with ``functools.partial``; the partial pickles for
+    ``parallel_map``.
 
     Phase 1 arms the crash controller at op 1, 1+stride, ... across the
     whole workload (checkpoints included), plus the no-crash power cut,
@@ -449,18 +434,9 @@ def run_seed(task: SeedTask) -> dict:
     sweeps every op inside them — crash during recovery, Section 4.3's
     hardest case.
     """
-    base = make_scenario(
-        task.seed,
-        task.ops,
-        task.scheme,
-        faults=task.faults,
-        txn_size=task.txn_size,
-        checkpoint_threshold=task.checkpoint_threshold,
-        sabotage=task.sabotage,
-        group_epoch=task.group_epoch,
-    )
+    base = make_scenario(seed, scheme=rotate(scheme, ROTATION, seed), **params)
     profile = profile_scenario(base)
-    points = crash_points(profile, task.stride)
+    points = crash_points(profile, stride)
     outcomes, failures = run_sweep(
         [replace(base, crash_point=k) for k in points],
         profile,
@@ -473,14 +449,14 @@ def run_seed(task: SeedTask) -> dict:
     )
     deep = [
         replace(base, crash_point=k, recovery_crash_point=r)
-        for neg_ops, k in recovery_depth[: task.recovery_points]
+        for neg_ops, k in recovery_depth[:recovery_points]
         for r in range(1, -neg_ops + 1)
     ]
     deep_outcomes, deep_failures = run_sweep(deep, profile, run_scenario)
     outcomes += deep_outcomes
     failures += deep_failures
     return {
-        "seed": task.seed,
+        "seed": seed,
         "scheme": base.scheme,
         "total_ops": profile.total_ops,
         "boundaries": len(profile.bounds) - 1,

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from repro.bench.harness import parallel_map
-from repro.harness.kernel import add_scheme_flag, print_digest, rotate
-from repro.wal.nvwal import ROTATION
+from repro.harness.kernel import add_scheme_flag, print_digest
 from repro.workloads.runner import (
     DEFAULT_WORKLOAD_THRESHOLD,
     WORKLOADS,
@@ -32,7 +32,7 @@ from repro.workloads.runner import (
 )
 from repro.workloads.torture import (
     DEFAULT_TORTURE_THRESHOLD,
-    SweepTask,
+    WorkloadScenario,
     run_seed,
 )
 
@@ -97,7 +97,7 @@ def _cmd_run(args) -> int:
             workload=name,
             seed=seed,
             ops=args.ops,
-            scheme=rotate(args.scheme, ROTATION, seed),
+            scheme=args.scheme,
             group_epoch=args.group_epoch,
             checkpoint_threshold=args.checkpoint_threshold,
         )
@@ -127,13 +127,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_torture(args) -> int:
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    tasks = [
-        SweepTask(
+    bases = [
+        WorkloadScenario(
             workload=name,
             seed=seed,
             ops=args.ops,
-            scheme=rotate(args.scheme, ROTATION, seed),
-            stride=args.stride,
+            scheme=args.scheme,
             checkpoint_threshold=args.checkpoint_threshold,
         )
         for name in names
@@ -144,7 +143,9 @@ def _cmd_torture(args) -> int:
         f"{args.ops} ops, stride={args.stride}, scheme={args.scheme}, "
         f"jobs={args.jobs}"
     )
-    results = parallel_map(run_seed, tasks, jobs=args.jobs)
+    results = parallel_map(
+        partial(run_seed, stride=args.stride), bases, jobs=args.jobs
+    )
     failures = 0
     for r in results:
         failures += len(r["failures"])

@@ -20,13 +20,14 @@ reported throughput and p95 are device-model numbers, not host noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.config import tuna
 from repro.db.database import Database
 from repro.errors import DatabaseError
+from repro.harness.kernel import rotate
 from repro.system import System
-from repro.wal.nvwal import SCHEMES, NvwalBackend
+from repro.wal.nvwal import ROTATION, SCHEMES, NvwalBackend
 from repro.workloads.core import (
     Workload,
     apply_txn,
@@ -92,7 +93,12 @@ def _percentile(sorted_values: list[int], fraction: float) -> int:
 
 
 def run_one(config: RunConfig) -> dict:
-    """Execute one configured run; returns a JSON-able result record."""
+    """Execute one configured run; returns a JSON-able result record.
+    A ``config.scheme`` of 'rotate' picks the seed's scheme from
+    ``ROTATION``."""
+    config = replace(
+        config, scheme=rotate(config.scheme, ROTATION, config.seed)
+    )
     if config.scheme not in SCHEMES:
         raise ValueError(
             f"unknown scheme {config.scheme!r}; pick from {sorted(SCHEMES)}"

@@ -43,9 +43,10 @@ from repro.harness.crash import (
     run_sweep,
     run_until_crash,
 )
+from repro.harness.kernel import rotate
 from repro.system import System
 from repro.wal.base import SyncMode
-from repro.wal.nvwal import SCHEMES, NvwalBackend
+from repro.wal.nvwal import ROTATION, SCHEMES, NvwalBackend
 from repro.workloads.core import apply_txn, db_state, model_states
 from repro.workloads.runner import make_workload
 
@@ -201,41 +202,25 @@ def _run_scenario_checked(
 
 
 # ----------------------------------------------------------------------
-# per-seed sweep (module-level and picklable for parallel_map)
+# per-seed sweep (module-level, so a partial over it pickles)
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepTask:
-    """Everything one seed's sweep needs, in picklable form."""
-
-    workload: str
-    seed: int
-    ops: int
-    scheme: str
-    stride: int = 1
-    checkpoint_threshold: int = DEFAULT_TORTURE_THRESHOLD
-
-
-def run_seed(task: SweepTask) -> dict:
-    """Sweep crash points ``1, 1+stride, ...`` plus the clean run."""
-    base = WorkloadScenario(
-        workload=task.workload,
-        seed=task.seed,
-        ops=task.ops,
-        scheme=task.scheme,
-        checkpoint_threshold=task.checkpoint_threshold,
-    )
+def run_seed(base: WorkloadScenario, *, stride: int) -> dict:
+    """Sweep crash points ``1, 1+stride, ...`` of ``base`` plus the clean
+    run.  A ``base.scheme`` of 'rotate' picks the seed's scheme from
+    ``ROTATION``."""
+    base = replace(base, scheme=rotate(base.scheme, ROTATION, base.seed))
     profile = profile_scenario(base)
     outcomes, failures = run_sweep(
-        [replace(base, crash_point=k) for k in crash_points(profile, task.stride)],
+        [replace(base, crash_point=k) for k in crash_points(profile, stride)],
         profile,
         run_scenario,
     )
     return {
-        "workload": task.workload,
-        "seed": task.seed,
-        "scheme": task.scheme,
+        "workload": base.workload,
+        "seed": base.seed,
+        "scheme": base.scheme,
         "total_ops": profile.total_ops,
         "boundaries": len(profile.bounds) - 1,
         "checkpoints": len(profile.ckpt_events),

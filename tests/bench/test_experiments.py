@@ -7,6 +7,9 @@ direction — on small runs; the full-size regeneration lives in
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS
@@ -220,3 +223,14 @@ def test_cli_runs_one_experiment(capsys):
     assert main(["table1", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
+
+
+def test_quick_run_writes_only_the_quick_snapshot(tmp_path, monkeypatch):
+    """A quick run leaves the tracked trajectory file alone: it writes
+    the untracked ``BENCH_<name>.quick.json`` sibling and nothing else."""
+    monkeypatch.chdir(tmp_path)
+    report = EXPERIMENTS["replication"](quick=True)
+    assert os.listdir(tmp_path) == ["BENCH_replication.quick.json"]
+    with open(tmp_path / "BENCH_replication.quick.json", encoding="utf-8") as fh:
+        assert json.load(fh)["quick"] is True
+    assert "Snapshot written to BENCH_replication.quick.json." in report.render()

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
 from repro import torture
 from repro.bench.harness import parallel_map
 from repro.replication.chaos import (
-    ReplicationTask,
     make_scenario,
     minimize,
     run_replication_chaos,
@@ -38,12 +38,12 @@ class TestDeterminism:
         assert a.summary == b.summary
 
     def test_results_invariant_under_jobs(self):
-        tasks = [
-            ReplicationTask(seed=s, sessions=2, txns=10, writer_kill=True)
-            for s in range(2)
-        ]
-        serial = parallel_map(run_task, tasks, jobs=1)
-        parallel = parallel_map(run_task, tasks, jobs=2)
+        task = partial(
+            run_task, scheme="rotate", mode="rotate", sessions=2, txns=10,
+            writer_kill=True,
+        )
+        serial = parallel_map(task, range(2), jobs=1)
+        parallel = parallel_map(task, range(2), jobs=2)
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             parallel, sort_keys=True
         )

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 
 import pytest
 
 from repro.bench.harness import parallel_map
 from repro.service.chaos import (
-    ChaosTask,
     make_scenario,
     minimize,
     run_chaos,
@@ -20,11 +20,11 @@ from repro.service.chaos import (
 )
 
 
-def small_task(seed, **kwargs):
-    kwargs.setdefault("sessions", 3)
-    kwargs.setdefault("txns", 12)
-    kwargs.setdefault("power_cycles", 1)
-    return ChaosTask(seed=seed, **kwargs)
+#: One seed's chaos run at test size (rotating scheme, one power cut);
+#: keywords given at the call override these.
+run_small = partial(
+    run_task, scheme="rotate", sessions=3, txns=12, power_cycles=1
+)
 
 
 class TestDeterminism:
@@ -36,9 +36,8 @@ class TestDeterminism:
         assert first.summary == second.summary
 
     def test_digest_is_jobs_invariant(self):
-        tasks = [small_task(seed) for seed in range(3)]
-        serial = parallel_map(run_task, tasks, jobs=1)
-        parallel = parallel_map(run_task, tasks, jobs=3)
+        serial = parallel_map(run_small, range(3), jobs=1)
+        parallel = parallel_map(run_small, range(3), jobs=3)
         canon = lambda r: json.dumps(r, sort_keys=True)  # noqa: E731
         assert [canon(r) for r in serial] == [canon(r) for r in parallel]
 
@@ -73,16 +72,14 @@ class TestOracleFold:
 class TestCleanRuns:
     @pytest.mark.parametrize("scheme", ["uh_ls_diff", "ls", "eager"])
     def test_power_cycles_no_violations(self, scheme):
-        result = run_task(small_task(1, scheme=scheme))
+        result = run_small(1, scheme=scheme)
         assert result["violations"] == []
         assert result["crashes"] >= 1
         assert result["acked"] >= 12
 
     def test_media_storm_run_no_violations(self):
-        result = run_task(
-            small_task(
-                5, faults=("power", "media"), storms=2, power_cycles=1
-            )
+        result = run_small(
+            5, faults=("power", "media"), storms=2, power_cycles=1
         )
         assert result["violations"] == []
         # Storms are a daemon: the run may drain before the last one fires.
@@ -92,13 +89,11 @@ class TestCleanRuns:
 class TestSabotage:
     def test_planted_ack_before_commit_is_caught(self):
         # Seed chosen so the crash lands in the ack-to-commit window.
-        result = run_task(
-            small_task(2, scheme="eager", sabotage=True)
-        )
+        result = run_small(2, scheme="eager", sabotage=True)
         assert any(v.startswith("ack-lost") for v in result["violations"])
 
     def test_minimizer_shrinks_and_preserves_failure(self):
-        result = run_task(small_task(2, scheme="eager", sabotage=True))
+        result = run_small(2, scheme="eager", sabotage=True)
         scenario = scenario_from_dict(result["scenario"])
         small = minimize(scenario)
         before = sum(len(t) for s in scenario.streams for t in s)
@@ -112,18 +107,16 @@ class TestSabotage:
 
 class TestGroupCommit:
     def test_group_commit_power_cycles_no_violations(self):
-        result = run_task(small_task(1, scheme="ls", group_commit=True))
+        result = run_small(1, scheme="ls", group_commit=True)
         assert result["violations"] == []
         assert result["crashes"] >= 1
         assert result["acked"] >= 12
 
     def test_group_commit_full_fault_mix_no_violations(self):
         result = run_task(
-            ChaosTask(
-                seed=5, sessions=3, txns=16, scheme="ls",
-                faults=("power", "media", "io"), storms=2,
-                power_cycles=1, group_commit=True,
-            )
+            5, sessions=3, txns=16, scheme="ls",
+            faults=("power", "media", "io"), storms=2,
+            power_cycles=1, group_commit=True,
         )
         assert result["violations"] == []
         assert result["crashes"] >= 1
@@ -132,10 +125,8 @@ class TestGroupCommit:
     def test_ack_before_epoch_barrier_is_caught(self):
         # Seed 1 lands a power cut between the premature acks and the
         # epoch barrier; every parked writer in the epoch is exposed.
-        result = run_task(
-            small_task(
-                1, scheme="ls", txns=24, group_commit=True, sabotage=True
-            )
+        result = run_small(
+            1, scheme="ls", txns=24, group_commit=True, sabotage=True
         )
         assert any(v.startswith("ack-lost") for v in result["violations"])
 
@@ -163,11 +154,9 @@ class TestFaultStorm:
         IO faults and storms, zero violations, and the service must
         demote to read-only and re-promote at least once."""
         result = run_task(
-            ChaosTask(
-                seed=5, sessions=8, txns=200, txn_size=3,
-                scheme="uh_ls_diff", faults=("power", "media", "io"),
-                storms=3, power_cycles=2,
-            )
+            5, sessions=8, txns=200, txn_size=3,
+            scheme="uh_ls_diff", faults=("power", "media", "io"),
+            storms=3, power_cycles=2,
         )
         assert result["violations"] == []
         assert result["acked"] == 200

@@ -1,7 +1,8 @@
 """End-to-end contract of every adversarial harness CLI.
 
 Each harness prints a ``result digest: sha256:`` line that must not
-depend on ``--jobs``; each harness with ``--sabotage`` must catch its
+depend on ``--jobs`` and must equal the pinned golden value (any change
+to a harness's results shows up here); each harness with ``--sabotage`` must catch its
 planted bug, exit 0, write a minimized trace, and that trace must replay
 as a deterministic failure (exit 1).  Sizes are the smallest that still
 exercise every branch, so the whole file stays a few seconds of tier-1.
@@ -25,32 +26,42 @@ from repro.workloads.__main__ import main as workloads_main
 
 _DIGEST = re.compile(r"^result digest: sha256:([0-9a-f]{64})$", re.M)
 
-#: (id, main, clean sweep argv, trace-directory flag)
+#: (id, main, clean sweep argv, trace-directory flag, golden digest)
 CLEAN = [
     (
         "torture",
         torture_main,
         ["--seeds", "2", "--ops", "2", "--stride", "24", "--recovery-points", "0"],
         "--trace-dir",
+        "cae2776d45e585f8bd7f1c0d47d648afca43c6796c01a9a00b52e9e3b47112ae",
     ),
     (
         "chaos",
         chaos_main,
         ["--seeds", "2", "--sessions", "2", "--txns", "6", "--power-cycles", "1"],
         "--trace-dir",
+        "9d55813ffde105918049024a6062367e1821f5c60e6109f9e235916e13ff3b4c",
     ),
     (
         "replication",
         replication_main,
         ["--seeds", "2", "--sessions", "2", "--txns", "6"],
         "--trace-dir",
+        "d05a25e7ca560531e564fac612f65d978892f905c5d1f71343fb1041378eed60",
     ),
-    ("difftest", difftest_main, ["--seeds", "2", "--stmts", "12"], "--out-dir"),
+    (
+        "difftest",
+        difftest_main,
+        ["--seeds", "2", "--stmts", "12"],
+        "--out-dir",
+        "64504cea23fb5747dc14b60af279140c81f01f9c3c04a11e3cbbbd2778ff7a27",
+    ),
     (
         "workloads-run",
         workloads_main,
         ["run", "--workload", "ycsb-a", "--seeds", "2", "--ops", "12"],
         None,
+        "8824124a22fb66d09faae68cc0134923e4566a8091872e221509a26848d520d1",
     ),
     (
         "workloads-torture",
@@ -58,6 +69,7 @@ CLEAN = [
         ["torture", "--workload", "queue", "--seeds", "2", "--ops", "4",
          "--stride", "40"],
         None,
+        "b183fd67d273090aaa101dd5386c36b88a590f631911957779f310c50c410fc8",
     ),
 ]
 
@@ -92,18 +104,16 @@ def _run(main, argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "main,argv,dir_flag", [c[1:] for c in CLEAN], ids=[c[0] for c in CLEAN]
+    "main,argv,dir_flag,golden", [c[1:] for c in CLEAN], ids=[c[0] for c in CLEAN]
 )
-def test_clean_run_digest_is_jobs_invariant(main, argv, dir_flag, tmp_path, capsys):
+def test_clean_run_digest_is_jobs_invariant(
+    main, argv, dir_flag, golden, tmp_path, capsys
+):
     extra = [dir_flag, str(tmp_path)] if dir_flag else []
-    digests = []
     for jobs in ("1", "2"):
         rc, out = _run(main, [*argv, *extra, "--jobs", jobs], capsys)
         assert rc == 0, out
-        found = _DIGEST.findall(out)
-        assert len(found) == 1, out
-        digests.append(found[0])
-    assert digests[0] == digests[1]
+        assert _DIGEST.findall(out) == [golden], out
 
 
 @pytest.mark.parametrize(

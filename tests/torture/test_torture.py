@@ -11,11 +11,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from functools import partial
 
 import pytest
 
 from repro.torture import (
-    SeedTask,
     build_fault_plan,
     generate_txns,
     make_scenario,
@@ -79,18 +79,19 @@ class TestCleanSweep:
     def test_tiny_sweep_is_clean_and_deterministic(self):
         """A correct stack survives a small all-faults sweep with zero
         violations, and the whole result dict is reproducible."""
-        task = SeedTask(
-            seed=0,
+        sweep = partial(
+            run_seed,
+            0,
             ops=3,
             scheme="uh_ls_diff",
             faults=("media", "power"),
             stride=16,
             recovery_points=1,
         )
-        first = run_seed(task)
+        first = sweep()
         assert first["failures"] == []
         assert first["runs"] > 10
-        assert run_seed(task) == first
+        assert sweep() == first
 
     def test_clean_scenario_has_no_violations(self):
         scenario = make_scenario(seed=1, ops=4, scheme="eager")
@@ -144,18 +145,19 @@ class TestGroupCommit:
             assert outcome.matched_boundary >= b
 
     def test_group_sweep_is_clean_and_deterministic(self):
-        task = SeedTask(
-            seed=0,
+        sweep = partial(
+            run_seed,
+            0,
             ops=6,
             scheme="uh_ls_diff",
             stride=12,
             recovery_points=1,
             group_epoch=2,
         )
-        first = run_seed(task)
+        first = sweep()
         assert first["failures"] == []
         assert first["crashes"] > 0
-        assert run_seed(task) == first
+        assert sweep() == first
 
 
 class TestSabotage:
@@ -166,15 +168,14 @@ class TestSabotage:
         # seed 1 exposes the lost commit mark on the always-swept
         # crash_point=0 run (the mark's cache line loses the landing
         # lottery at the final power cut)
-        task = SeedTask(
-            seed=1,
+        result = run_seed(
+            1,
             ops=2,
             scheme="uh_ls_diff",
             stride=24,
             recovery_points=0,
             sabotage=True,
         )
-        result = run_seed(task)
         assert result["failures"], "sabotage went undetected"
 
         scenario = scenario_from_dict(result["failures"][0]["scenario"])

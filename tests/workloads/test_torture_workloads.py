@@ -9,7 +9,6 @@ import pytest
 
 from repro.harness.codec import scenario_to_dict
 from repro.workloads.torture import (
-    SweepTask,
     WorkloadScenario,
     profile_scenario,
     run_scenario,
@@ -46,7 +45,8 @@ class TestTier1Sweeps:
 
     def test_queue_sweep_clean(self):
         summary = run_seed(
-            SweepTask("queue", seed=0, ops=10, scheme="uh_ls_diff", stride=7)
+            WorkloadScenario("queue", seed=0, ops=10, scheme="uh_ls_diff"),
+            stride=7,
         )
         assert summary["failures"] == []
         assert summary["crashes"] > 0
@@ -68,7 +68,8 @@ class TestTier1Sweeps:
 
     def test_checksum_scheme_shed_is_tolerated(self):
         summary = run_seed(
-            SweepTask("queue", seed=1, ops=8, scheme="uh_cs_diff", stride=9)
+            WorkloadScenario("queue", seed=1, ops=8, scheme="uh_cs_diff"),
+            stride=9,
         )
         assert summary["failures"] == []
 
@@ -81,7 +82,9 @@ class TestDeepSweeps:
 
     @pytest.mark.parametrize("scheme", ["eager", "uh_ls_diff", "uh_cs_diff"])
     def test_queue_every_crash_point(self, scheme):
-        summary = run_seed(SweepTask("queue", seed=0, ops=18, scheme=scheme))
+        summary = run_seed(
+            WorkloadScenario("queue", seed=0, ops=18, scheme=scheme), stride=1
+        )
         assert summary["failures"] == []
         assert summary["runs"] == summary["total_ops"] + 1
 
@@ -90,7 +93,8 @@ class TestDeepSweeps:
     )
     def test_indexed_workloads_stride_sweep(self, workload):
         summary = run_seed(
-            SweepTask(workload, seed=1, ops=24, scheme="uh_ls_diff", stride=3)
+            WorkloadScenario(workload, seed=1, ops=24, scheme="uh_ls_diff"),
+            stride=3,
         )
         assert summary["failures"] == []
         assert summary["checkpoints"] >= 1
